@@ -425,6 +425,38 @@ func TestCLIUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestCLINegativeDurationFlagsRejected: the negative values that used
+// to select the polling and per-window fleet modes are usage errors
+// naming the flag — reported before anything is dialed, listened on or
+// written.
+func TestCLINegativeDurationFlagsRejected(t *testing.T) {
+	bin := buildCLI(t, "cmd/parmonc")
+	cases := []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"worker push-interval", []string{"worker", "-service", "-addr", "127.0.0.1:1", "-push-interval", "-1ms"}, "-push-interval"},
+		{"worker pull-wait", []string{"worker", "-service", "-addr", "127.0.0.1:1", "-pull-wait", "-1s"}, "-pull-wait"},
+		{"serve pull-wait", []string{"serve", "-http", "127.0.0.1:0", "-fleet", "127.0.0.1:0", "-pull-wait", "-1s"}, "-pull-wait"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, err := runCLI(t, dir, bin, tc.args...)
+			if err == nil {
+				t.Fatalf("negative duration accepted:\n%s", out)
+			}
+			if !strings.Contains(out, tc.flag) || !strings.Contains(out, "must not be negative") {
+				t.Fatalf("error does not name the flag %s:\n%s", tc.flag, out)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("rejected command left %d entries in its working directory", len(left))
+			}
+		})
+	}
+}
+
 func TestCLIFig2Capacities(t *testing.T) {
 	bin := buildCLI(t, "cmd/fig2")
 	out, err := runCLI(t, t.TempDir(), bin, "-capacities")

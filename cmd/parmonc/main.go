@@ -520,6 +520,14 @@ func cmdExperiments(args []string) error {
 	return nil
 }
 
+// nonNegative rejects a negative duration flag by name.
+func nonNegative(flagName string, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("%s %v must not be negative", flagName, d)
+	}
+	return nil
+}
+
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	wf := addWorkloadFlags(fs)
@@ -533,10 +541,16 @@ func cmdWorker(args []string) error {
 	dialTimeout := fs.Duration("dial-timeout", defaults.DialTimeout, "per-dial timeout")
 	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /statusz and /debug/pprof on this address")
 	journalPath := fs.String("journal", "", "append worker run events to this JSONL file")
-	pullWait := fs.Duration("pull-wait", 10*time.Second, "with -service: ask the coordinator to hold idle pulls open this long (long-poll; negative polls instead)")
-	pushInterval := fs.Duration("push-interval", 50*time.Millisecond, "with -service: coalesce completed push windows into one batch per interval (negative pushes each window separately)")
+	pullWait := fs.Duration("pull-wait", 10*time.Second, "with -service: ask the coordinator to hold idle pulls open this long (long-poll)")
+	pushInterval := fs.Duration("push-interval", 50*time.Millisecond, "with -service: coalesce completed push windows into one batch per interval")
 	maxBatch := fs.Int("max-batch", 64, "with -service: most push windows one batch may carry")
 	fs.Parse(args)
+	if err := nonNegative("-pull-wait", *pullWait); err != nil {
+		return err
+	}
+	if err := nonNegative("-push-interval", *pushInterval); err != nil {
+		return err
+	}
 
 	ctx, cancel := signalContext()
 	defer cancel()
@@ -600,7 +614,7 @@ func cmdWorker(args []string) error {
 		fmt.Printf("ops server on %s (metrics, healthz, statusz, pprof)\n", srv.URL())
 	}
 	fmt.Printf("worker joining %s (workload %s)\n", *addr, w.id.Fingerprint())
-	rep, err := cluster.RunResilientWorker(ctx, *addr, wcfg, w.factory)
+	rep, err := cluster.RunWorker(ctx, *addr, wcfg, w.factory)
 	if err != nil {
 		return err
 	}

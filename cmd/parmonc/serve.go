@@ -34,9 +34,12 @@ func cmdServe(args []string) error {
 	peraver := fs.Duration("peraver", 2*time.Minute, "per-run period of averaging and saving results")
 	leaseTimeout := fs.Duration("lease-timeout", 30*time.Second, "reissue a lease after this long without a push (0 disables)")
 	journalCap := fs.Int64("journal-max-bytes", 64<<20, "size-rotate each journal past this many bytes (0 disables)")
-	pullWait := fs.Duration("pull-wait", 30*time.Second, "hold an idle fleet pull open up to this long (long-poll; negative answers immediately)")
+	pullWait := fs.Duration("pull-wait", 30*time.Second, "hold an idle fleet pull open up to this long (long-poll)")
 	recoverPolicy := fs.String("recover", "strict", "corrupt-state policy at startup: strict (refuse to start) or discard (quarantine and continue)")
 	fs.Parse(args)
+	if err := nonNegative("-pull-wait", *pullWait); err != nil {
+		return err
+	}
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err

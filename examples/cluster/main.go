@@ -48,11 +48,13 @@ func main() {
 		Params:     parmonc.DefaultParams(),
 		Gamma:      3,
 		PassEvery:  1000,
+		// A worker silent for MissBudget (default 3) heartbeats is
+		// declared dead and its lease remainders are reissued.
+		Heartbeat: 3 * time.Second,
 	}
 	coord, err := parmonc.NewCoordinator(spec, parmonc.CoordinatorConfig{
-		WorkDir:       ".",
-		AverPeriod:    100 * time.Millisecond,
-		WorkerTimeout: 10 * time.Second,
+		WorkDir:    ".",
+		AverPeriod: 100 * time.Millisecond,
 	}, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +68,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := parmonc.RunWorker(ctx, coord.Addr(), func(int) (parmonc.Realization, error) {
+			if err := parmonc.RunWorker(ctx, coord.Addr(), parmonc.WorkerConfig{}, func(int) (parmonc.Realization, error) {
 				return realization, nil
 			}); err != nil {
 				log.Printf("worker: %v", err)

@@ -151,7 +151,7 @@ func TestLifecycleDistributedMatchesLocal(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parmonc.RunWorker(ctx, coord.Addr(), func(int) (parmonc.Realization, error) {
+			parmonc.RunWorker(ctx, coord.Addr(), parmonc.WorkerConfig{}, func(int) (parmonc.Realization, error) {
 				return realize, nil
 			})
 		}()

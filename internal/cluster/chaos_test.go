@@ -177,7 +177,7 @@ func chaosTCPRun(t *testing.T, plan faultnet.Planner) (stat.Report, collect.Metr
 	errCh := make(chan error, chaosWorkers)
 	for i := 0; i < chaosWorkers; i++ {
 		go func(i int) {
-			_, err := RunResilientWorker(ctx, coord.Addr(),
+			_, err := RunWorker(ctx, coord.Addr(),
 				WorkerConfig{Retry: chaosPolicy(int64(i) + 1)}, chaosFactory)
 			errCh <- err
 		}(i)
@@ -314,7 +314,8 @@ func TestPushSeqDedupOverRPC(t *testing.T) {
 	if err := acc.Add([]float64{0.25}); err != nil {
 		t.Fatal(err)
 	}
-	args := PushArgs{Worker: reg.Worker, Seq: 1, Snap: acc.Snapshot()}
+	l := acquireLease(t, coord, reg)
+	args := PushArgs{Worker: reg.Worker, Epoch: reg.Epoch, Seq: 1, Lease: l.ID, Done: 1, Snap: acc.Snapshot()}
 	var pr PushReply
 	for i := 0; i < 3; i++ { // deliver the identical push three times
 		if err := rc.Call(ctx, ServiceName+".Push", args, &pr); err != nil {

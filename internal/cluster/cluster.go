@@ -8,18 +8,26 @@
 // protocol over TCP reproduces the communication pattern exactly:
 //
 //	worker                         coordinator (rank 0)
-//	  Register ────────────────▶   assign processor index + job spec
-//	  simulate realizations ...
+//	  Register ────────────────▶   assign processor index, epoch + job spec
+//	  Acquire ─────────────────▶   grant a lease: a window of realization
+//	                               substreams
+//	  simulate the window ...
 //	  Push(subtotal moments) ──▶   merge (formula (5)), save periodically
-//	  ... repeat until told to stop or out of work ...
+//	  ... Acquire again until told to stop or out of work ...
 //	  Done ────────────────────▶   account; release
+//
+// There is one of each: one worker entry point (RunWorker), one
+// realization loop (core.RunLease, shared with the other transports),
+// and one push shape — every Push carries a sequence number, the
+// registration epoch and a lease, so every merge passes the dedup,
+// fencing and lease ledgers; a push missing any of them is rejected.
 //
 // Workers are fully asynchronous: no worker ever waits for another, and
 // the coordinator merges whatever arrives whenever it arrives — the
 // paper's "no need for load balancing" property. A worker that dies
-// silently costs only its unsent subtotals; the surviving workers'
-// moments remain valid because every worker draws from its own
-// subsequence of the parallel RNG.
+// silently costs only its unsent subtotals: its lease remainders are
+// reissued to the survivors, and their moments remain valid because
+// every lease draws from its own subsequence of the parallel RNG.
 package cluster
 
 import (
@@ -57,8 +65,7 @@ type JobSpec struct {
 	// parameter value must agree (via the canonical fingerprint), so a
 	// worker built for the same-named scenario with different parameters
 	// is rejected before any wrong moments are merged. The zero Identity
-	// disables the check; a workload.Named identity checks the name only
-	// (the legacy level).
+	// (an unnamed user factory) disables the check.
 	Workload workload.Identity
 
 	// LeaseSize, when positive, fixes the realization-window size of
@@ -76,7 +83,7 @@ type JobSpec struct {
 	// RPC between pushes. The coordinator declares a worker dead after
 	// CoordinatorConfig.MissBudget missed intervals, revokes its
 	// leases, and reissues the uncomputed remainders. Zero disables
-	// heartbeat supervision (a WorkerTimeout still maps onto it).
+	// heartbeat supervision.
 	Heartbeat time.Duration
 }
 
@@ -157,14 +164,18 @@ type PushArgs struct {
 	// 1), the idempotency key: the coordinator acknowledges but does
 	// not re-merge a sequence number it has already applied, so a push
 	// whose reply was lost can be retried without double-counting
-	// moments. Zero means unsequenced (legacy workers; always merged).
+	// moments.
 	Seq uint64
-	// Epoch is the worker's registration epoch (0: legacy, unfenced).
+	// Epoch is the worker's registration epoch, as Register returned it.
 	Epoch uint64
 	// Lease is the grant the snapshot's realizations belong to, and
 	// Done the cumulative count of that lease's realizations completed
 	// once this snapshot merges — the collector's per-lease ledger, the
-	// exact prefix a reissue must skip. Lease 0 means an unleased push.
+	// exact prefix a reissue must skip.
+	//
+	// Seq, Epoch and Lease are all required: a push with any of them
+	// zero is rejected, so nothing reaches the totals outside the
+	// dedup, fencing and lease ledgers.
 	Lease uint64
 	Done  int64
 }
@@ -245,17 +256,6 @@ type CoordinatorConfig struct {
 	AverPeriod time.Duration // how often pushes trigger a save; default 2 min
 	Resume     bool          // merge the previous run's checkpoint
 
-	// WorkerTimeout prunes workers that have not been heard from for
-	// this long, so a crashed worker cannot stall job completion. It is
-	// a convenience mapping onto heartbeat supervision: when the spec
-	// sets no Heartbeat, the heartbeat interval becomes
-	// WorkerTimeout / MissBudget, so a worker is declared dead after
-	// roughly WorkerTimeout of silence. Unlike the pre-lease pruner,
-	// the dead worker's unfinished lease windows are reissued to
-	// surviving workers, so no requested realization is ever lost.
-	// Zero (with no spec Heartbeat) disables supervision.
-	WorkerTimeout time.Duration
-
 	// MissBudget is how many consecutive heartbeat intervals a worker
 	// may miss before it is declared dead, its leases revoked and
 	// their uncomputed remainders reissued. Default 3.
@@ -322,12 +322,6 @@ func NewCoordinatorOn(spec JobSpec, cfg CoordinatorConfig, ln net.Listener) (*Co
 	if cfg.MissBudget <= 0 {
 		cfg.MissBudget = 3
 	}
-	if spec.Heartbeat <= 0 && cfg.WorkerTimeout > 0 {
-		spec.Heartbeat = cfg.WorkerTimeout / time.Duration(cfg.MissBudget)
-		if spec.Heartbeat <= 0 {
-			spec.Heartbeat = time.Millisecond
-		}
-	}
 	lm, err := newLeaseManager(spec)
 	if err != nil {
 		return nil, err
@@ -347,7 +341,7 @@ func NewCoordinatorOn(spec JobSpec, cfg CoordinatorConfig, ln net.Listener) (*Co
 		Workload:    spec.Workload.Name,
 		Fingerprint: spec.Workload.Fingerprint(),
 	}
-	if spec.Workload.Digest != "" {
+	if !spec.Workload.IsZero() {
 		meta.Scenario = workload.Spec{Workload: spec.Workload.Name, Params: spec.Workload.Params}.Canonical()
 	}
 	eng, err := collect.New(dir, meta, collect.Config{
@@ -666,6 +660,10 @@ func (s *service) Heartbeat(args HeartbeatArgs, reply *HeartbeatReply) error {
 // idempotent.
 func (s *service) Push(args PushArgs, reply *PushReply) error {
 	c := s.c
+	if args.Seq == 0 || args.Epoch == 0 || args.Lease == 0 {
+		return fmt.Errorf("cluster: push from worker %d must carry a sequence number, epoch and lease (got seq %d, epoch %d, lease %d)",
+			args.Worker, args.Seq, args.Epoch, args.Lease)
+	}
 	err := c.eng.PushFrom(collect.PushOrigin{
 		Worker: args.Worker,
 		Epoch:  args.Epoch,
@@ -837,6 +835,5 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// The worker half of the protocol lives in worker.go: RunWorker,
-// RunNamedWorker, RunWorkerOpts and RunResilientWorker, all built on
-// the retrying, reconnecting ResilientClient in retry.go.
+// The worker half of the protocol lives in worker.go: RunWorker, built
+// on the retrying, reconnecting ResilientClient in retry.go.

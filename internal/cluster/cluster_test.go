@@ -7,16 +7,36 @@ import (
 	"math"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"parmonc/internal/collect"
 	"parmonc/internal/core"
 	"parmonc/internal/rng"
 	"parmonc/internal/stat"
 	"parmonc/internal/store"
-	"parmonc/internal/workload"
 )
+
+// runWorker is RunWorker with the zero configuration, for the tests
+// that only care whether the session succeeded.
+func runWorker(ctx context.Context, addr string, factory core.Factory) error {
+	_, err := RunWorker(ctx, addr, WorkerConfig{}, factory)
+	return err
+}
+
+// acquireLease grants reg's session its next lease, as the worker
+// loop's Acquire call would, so a hand-driven test can stamp its pushes
+// the way the protocol requires.
+func acquireLease(t *testing.T, c *Coordinator, reg RegisterReply) collect.Lease {
+	t.Helper()
+	var aq AcquireReply
+	if err := (&service{c}).Acquire(AcquireArgs{Worker: reg.Worker, Epoch: reg.Epoch}, &aq); err != nil || !aq.Granted {
+		t.Fatalf("acquire for worker %d: %+v, %v", reg.Worker, aq, err)
+	}
+	return aq.Lease
+}
 
 func uniformRealization(int) (core.Realization, error) {
 	return func(src *rng.Stream, out []float64) error {
@@ -56,7 +76,7 @@ func launch(t *testing.T, spec JobSpec, cfg CoordinatorConfig, n int) (float64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+			if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 				errCh <- err
 			}
 		}()
@@ -160,11 +180,11 @@ func TestWorkerJoinsAfterCompletion(t *testing.T) {
 	}
 	defer coord.Close()
 	ctx := context.Background()
-	if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+	if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 		t.Fatal(err)
 	}
 	// Target reached; a late worker must be turned away cleanly.
-	if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+	if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Wait(ctx); err != nil {
@@ -185,7 +205,7 @@ func TestCoordinatorStopHaltsUnboundedJob(t *testing.T) {
 	ctx := context.Background()
 	workerDone := make(chan error, 1)
 	go func() {
-		workerDone <- RunWorker(ctx, coord.Addr(), uniformRealization)
+		workerDone <- runWorker(ctx, coord.Addr(), uniformRealization)
 	}()
 
 	// Let it simulate a bit, then stop.
@@ -221,7 +241,7 @@ func TestContextCancelStopsJob(t *testing.T) {
 	defer coord.Close()
 
 	wctx := context.Background()
-	go RunWorker(wctx, coord.Addr(), uniformRealization)
+	go runWorker(wctx, coord.Addr(), uniformRealization)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -247,9 +267,18 @@ func TestPushFromUnknownWorkerRejected(t *testing.T) {
 	}
 	defer coord.Close()
 	svc.c = coord
+	// A fully stamped push from an index that was never assigned is a
+	// zombie's: acknowledged as fenced, never merged.
+	snap := stat.New(1, 1)
+	if err := snap.Add([]float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
 	var pr PushReply
-	if err := svc.Push(PushArgs{Worker: 99, Snap: stat.New(1, 1).Snapshot()}, &pr); err == nil {
-		t.Fatal("expected unknown-worker error")
+	if err := svc.Push(PushArgs{Worker: 99, Epoch: 1, Seq: 1, Lease: 1, Done: 1, Snap: snap.Snapshot()}, &pr); err != nil || !pr.Fenced {
+		t.Fatalf("push from unknown worker: reply %+v, err %v; want fenced", pr, err)
+	}
+	if n := coord.N(); n != 0 {
+		t.Fatalf("push from unknown worker merged: N = %d", n)
 	}
 	var dr DoneReply
 	if err := svc.Done(DoneArgs{Worker: 99}, &dr); err == nil {
@@ -278,7 +307,10 @@ func TestPushMalformedSnapshotRejected(t *testing.T) {
 	if err := client.Call(ServiceName+".Register", RegisterArgs{}, &reg); err != nil {
 		t.Fatal(err)
 	}
-	w := reg.Worker
+	l := acquireLease(t, coord, reg)
+	stamped := func(seq uint64, done int64, snap stat.Snapshot) PushArgs {
+		return PushArgs{Worker: reg.Worker, Epoch: reg.Epoch, Seq: seq, Lease: l.ID, Done: done, Snap: snap}
+	}
 
 	// One good push to establish a baseline total.
 	good := stat.New(1, 1)
@@ -286,7 +318,7 @@ func TestPushMalformedSnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pr PushReply
-	if err := client.Call(ServiceName+".Push", PushArgs{Worker: w, Snap: good.Snapshot()}, &pr); err != nil {
+	if err := client.Call(ServiceName+".Push", stamped(1, 1, good.Snapshot()), &pr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,14 +327,14 @@ func TestPushMalformedSnapshotRejected(t *testing.T) {
 	if err := wrong.Add([]float64{1, 2, 3, 4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call(ServiceName+".Push", PushArgs{Worker: w, Snap: wrong.Snapshot()}, &pr); err == nil {
+	if err := client.Call(ServiceName+".Push", stamped(2, 2, wrong.Snapshot()), &pr); err == nil {
 		t.Fatal("wrong-dimension push accepted over RPC")
 	}
 
 	// Internally inconsistent snapshot.
 	bad := good.Snapshot()
 	bad.N = -5
-	if err := client.Call(ServiceName+".Push", PushArgs{Worker: w, Snap: bad}, &pr); err == nil {
+	if err := client.Call(ServiceName+".Push", stamped(2, 2, bad), &pr); err == nil {
 		t.Fatal("malformed push accepted over RPC")
 	}
 
@@ -329,7 +361,7 @@ func TestStatusReportsMetrics(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- RunWorker(ctx, coord.Addr(), uniformRealization) }()
+	go func() { done <- runWorker(ctx, coord.Addr(), uniformRealization) }()
 	if _, err := coord.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +386,13 @@ func TestStatusReportsMetrics(t *testing.T) {
 }
 
 func TestNilFactoryRejected(t *testing.T) {
-	if err := RunWorker(context.Background(), "127.0.0.1:1", nil); err == nil {
+	if err := runWorker(context.Background(), "127.0.0.1:1", nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestDialFailure(t *testing.T) {
-	err := RunWorker(context.Background(), "127.0.0.1:1", uniformRealization)
+	err := runWorker(context.Background(), "127.0.0.1:1", uniformRealization)
 	if err == nil {
 		t.Fatal("expected dial error")
 	}
@@ -369,10 +401,10 @@ func TestDialFailure(t *testing.T) {
 func TestCrashedWorkerPruned(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(300)
+	spec.Heartbeat = 100 * time.Millisecond / 3 // × default MissBudget 3 = 100 ms of silence
 	coord, err := NewCoordinator(spec, CoordinatorConfig{
-		WorkDir:       dir,
-		AverPeriod:    time.Millisecond,
-		WorkerTimeout: 100 * time.Millisecond,
+		WorkDir:    dir,
+		AverPeriod: time.Millisecond,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +425,7 @@ func TestCrashedWorkerPruned(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	go func() {
-		if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+		if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -418,11 +450,11 @@ func TestCrashedWorkerPruned(t *testing.T) {
 func TestHealthyWorkersNotPruned(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(2000)
-	spec.PassEvery = 20 // frequent pushes keep lastSeen fresh
+	spec.PassEvery = 20                  // frequent pushes keep lastSeen fresh
+	spec.Heartbeat = 2 * time.Second / 3 // × default MissBudget 3 = 2 s of silence
 	coord, err := NewCoordinator(spec, CoordinatorConfig{
-		WorkDir:       dir,
-		AverPeriod:    time.Millisecond,
-		WorkerTimeout: 2 * time.Second,
+		WorkDir:    dir,
+		AverPeriod: time.Millisecond,
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +467,7 @@ func TestHealthyWorkersNotPruned(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+			if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -473,7 +505,7 @@ func TestManaverRecoversClusterJob(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+			if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -505,7 +537,14 @@ func TestManaverRecoversClusterJob(t *testing.T) {
 	}
 }
 
-func TestRunWorkerOptsRetriesUntilCoordinatorUp(t *testing.T) {
+// constantRetry is the startup-race policy: dial up to attempts times
+// at a constant delay, so a worker started before its coordinator joins
+// once the listener is up.
+func constantRetry(attempts int, delay time.Duration) RetryPolicy {
+	return RetryPolicy{MaxAttempts: attempts, BaseDelay: delay, MaxDelay: delay, Multiplier: 1}
+}
+
+func TestRunWorkerRetriesUntilCoordinatorUp(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(200)
 
@@ -520,10 +559,9 @@ func TestRunWorkerOptsRetriesUntilCoordinatorUp(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorkerOpts(context.Background(), addr, uniformRealization, WorkerOptions{
-			DialAttempts: 50,
-			RetryDelay:   20 * time.Millisecond,
-		})
+		_, err := RunWorker(context.Background(), addr,
+			WorkerConfig{Retry: constantRetry(50, 20*time.Millisecond)}, uniformRealization)
+		done <- err
 	}()
 
 	time.Sleep(150 * time.Millisecond)
@@ -546,21 +584,23 @@ func TestRunWorkerOptsRetriesUntilCoordinatorUp(t *testing.T) {
 	}
 }
 
-func TestRunWorkerOptsGivesUp(t *testing.T) {
-	err := RunWorkerOpts(context.Background(), "127.0.0.1:1", uniformRealization, WorkerOptions{
-		DialAttempts: 2,
-		RetryDelay:   time.Millisecond,
-		DialTimeout:  100 * time.Millisecond,
-	})
+func TestRunWorkerGivesUp(t *testing.T) {
+	policy := constantRetry(2, time.Millisecond)
+	policy.DialTimeout = 100 * time.Millisecond
+	rep, err := RunWorker(context.Background(), "127.0.0.1:1", WorkerConfig{Retry: policy}, uniformRealization)
 	if err == nil {
 		t.Fatal("expected unreachable error")
 	}
+	if rep.Retries != 1 {
+		t.Fatalf("2 attempts made %d retries, want 1", rep.Retries)
+	}
 }
 
-func TestRunWorkerOptsRespectsContext(t *testing.T) {
+func TestRunWorkerRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RunWorkerOpts(ctx, "127.0.0.1:1", uniformRealization, WorkerOptions{DialAttempts: 100})
+	_, err := RunWorker(ctx, "127.0.0.1:1",
+		WorkerConfig{Retry: constantRetry(100, 500*time.Millisecond)}, uniformRealization)
 	if err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -568,7 +608,7 @@ func TestRunWorkerOptsRespectsContext(t *testing.T) {
 
 func TestWorkloadIdentityChecked(t *testing.T) {
 	spec := testSpec(1000)
-	spec.Workload = workload.Named("pi")
+	spec.Workload = fullIdentity(t, "pi", nil)
 	coord, err := NewCoordinator(spec, CoordinatorConfig{WorkDir: t.TempDir(), AverPeriod: time.Millisecond}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -577,15 +617,15 @@ func TestWorkloadIdentityChecked(t *testing.T) {
 	ctx := context.Background()
 
 	// Mismatched workload: rejected at registration.
-	if err := RunNamedWorker(ctx, coord.Addr(), "diffusion", uniformRealization); err == nil {
+	if _, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Workload: fullIdentity(t, "diffusion", nil)}, uniformRealization); err == nil {
 		t.Fatal("mismatched workload accepted")
 	}
 	// Matching workload completes the job.
-	if err := RunNamedWorker(ctx, coord.Addr(), "pi", uniformRealization); err != nil {
+	if _, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Workload: fullIdentity(t, "pi", nil)}, uniformRealization); err != nil {
 		t.Fatal(err)
 	}
-	// Anonymous workers are allowed (backward compatible).
-	if err := RunWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+	// Anonymous workers (user-supplied factories) are allowed.
+	if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
 		t.Fatal(err)
 	}
 	coord.Stop()
@@ -613,5 +653,111 @@ func TestSnapshotWireSizePaperComparison(t *testing.T) {
 	size := buf.Len()
 	if size < 30_000 || size > 40_000 {
 		t.Fatalf("1000×2 snapshot encodes to %d bytes; EXPERIMENTS.md claims ≈32 KB", size)
+	}
+}
+
+// TestClusterWorkerRealizationPanic: a realization that panics inside a
+// TCP worker must fail that worker with an error — as the in-process
+// driver and the fleet worker do — instead of crashing the process, and
+// must leave the coordinator able to finish the job with another worker.
+func TestClusterWorkerRealizationPanic(t *testing.T) {
+	coord, err := NewCoordinator(testSpec(200), CoordinatorConfig{WorkDir: t.TempDir(), AverPeriod: time.Millisecond}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	calls := 0
+	rep, err := RunWorker(ctx, coord.Addr(), WorkerConfig{}, func(int) (core.Realization, error) {
+		return func(src *rng.Stream, out []float64) error {
+			if calls++; calls == 7 {
+				panic("user bug")
+			}
+			out[0] = src.Float64()
+			return nil
+		}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "realization panicked: user bug") {
+		t.Fatalf("panicking realization: err = %v, want realization panicked: user bug", err)
+	}
+	if rep.Realizations != 6 {
+		t.Fatalf("worker counted %d realizations before the panic, want 6", rep.Realizations)
+	}
+
+	// The failed worker's Done released its lease; a healthy worker
+	// recomputes it and completes the exact target.
+	if err := runWorker(ctx, coord.Addr(), uniformRealization); err != nil {
+		t.Fatal(err)
+	}
+	report, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.N != 200 {
+		t.Fatalf("N = %d after the panicking worker left, want 200", report.N)
+	}
+}
+
+// TestPushUnstampedRejected: the wire accepts only sequenced, fenced,
+// leased pushes. A push missing any of the three stamps is rejected
+// definitively (an application error, never retried) and leaves the
+// totals untouched.
+func TestPushUnstampedRejected(t *testing.T) {
+	coord, err := NewCoordinator(testSpec(1000), CoordinatorConfig{WorkDir: t.TempDir()}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	policy := DefaultRetryPolicy()
+	policy.BaseDelay = time.Millisecond
+	rc := NewResilientClient(coord.Addr(), policy)
+	defer rc.Close()
+	ctx := context.Background()
+
+	var reg RegisterReply
+	if err := rc.Call(ctx, ServiceName+".Register", RegisterArgs{ClientID: "unstamped"}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	l := acquireLease(t, coord, reg)
+	acc := stat.New(1, 1)
+	if err := acc.Add([]float64{0.25}); err != nil {
+		t.Fatal(err)
+	}
+	full := PushArgs{Worker: reg.Worker, Epoch: reg.Epoch, Seq: 1, Lease: l.ID, Done: 1, Snap: acc.Snapshot()}
+	cases := []struct {
+		name  string
+		strip func(*PushArgs)
+	}{
+		{"unsequenced", func(a *PushArgs) { a.Seq = 0 }},
+		{"unfenced", func(a *PushArgs) { a.Epoch = 0 }},
+		{"unleased", func(a *PushArgs) { a.Lease = 0 }},
+		{"bare", func(a *PushArgs) { a.Seq, a.Epoch, a.Lease, a.Done = 0, 0, 0, 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := full
+			tc.strip(&args)
+			var pr PushReply
+			err := rc.Call(ctx, ServiceName+".Push", args, &pr)
+			if err == nil || !strings.Contains(err.Error(), "must carry a sequence number, epoch and lease") {
+				t.Fatalf("err = %v, want a definitive rejection", err)
+			}
+		})
+	}
+	if st := rc.Stats(); st.Retries != 0 {
+		t.Fatalf("definitive rejections were retried %d times", st.Retries)
+	}
+	if n := coord.N(); n != 0 {
+		t.Fatalf("rejected pushes changed the total: N = %d", n)
+	}
+	// The fully stamped push still lands.
+	var pr PushReply
+	if err := rc.Call(ctx, ServiceName+".Push", full, &pr); err != nil || pr.Fenced {
+		t.Fatalf("stamped push: reply %+v, err %v", pr, err)
+	}
+	if n := coord.N(); n != 1 {
+		t.Fatalf("N = %d after the stamped push, want 1", n)
 	}
 }

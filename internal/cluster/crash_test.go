@@ -246,7 +246,7 @@ func TestCrashSchedulesBitIdenticalAndReissued(t *testing.T) {
 			errCh := make(chan error, survivors)
 			for i := 0; i < survivors; i++ {
 				go func(i int) {
-					_, err := RunResilientWorker(ctx, coord.Addr(),
+					_, err := RunWorker(ctx, coord.Addr(),
 						WorkerConfig{Retry: chaosPolicy(int64(i) + 1)}, chaosFactory)
 					errCh <- err
 				}(i)
@@ -352,7 +352,7 @@ func TestKillFaultSchedulesBitIdentical(t *testing.T) {
 			errCh := make(chan error, chaosWorkers)
 			for i := 0; i < chaosWorkers; i++ {
 				go func(i int) {
-					_, err := RunResilientWorker(ctx, coord.Addr(),
+					_, err := RunWorker(ctx, coord.Addr(),
 						WorkerConfig{Retry: chaosPolicy(int64(i) + 1)}, slowChaos)
 					errCh <- err
 				}(i)
@@ -414,7 +414,7 @@ func TestSlowWorkerNotPruned(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	rep, err := RunResilientWorker(ctx, coord.Addr(), WorkerConfig{Retry: chaosPolicy(1)}, slowFactory)
+	rep, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Retry: chaosPolicy(1)}, slowFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,15 @@ func TestCloseDrainsInFlightPush(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	l := acquireLease(t, coord, reg)
+
 	acc := stat.New(1, 1)
 	if err := acc.Add([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	var pr PushReply
 	call := client.Go(ServiceName+".Push",
-		PushArgs{Worker: reg.Worker, Seq: 1, Snap: acc.Snapshot()}, &pr, nil)
+		PushArgs{Worker: reg.Worker, Epoch: reg.Epoch, Seq: 1, Lease: l.ID, Done: 1, Snap: acc.Snapshot()}, &pr, nil)
 
 	// Give the latency-delayed request time to be mid-service, then
 	// shut down while it is in flight.

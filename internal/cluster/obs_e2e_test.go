@@ -131,7 +131,7 @@ func TestObsEndToEndLiveRun(t *testing.T) {
 	errCh := make(chan error, workers)
 	for i := 0; i < workers; i++ {
 		go func() {
-			_, err := RunResilientWorker(ctx, coord.Addr(), WorkerConfig{Registry: wreg}, slowFactory)
+			_, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Registry: wreg}, slowFactory)
 			errCh <- err
 		}()
 	}

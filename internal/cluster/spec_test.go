@@ -69,7 +69,7 @@ func TestSpecValidateMessages(t *testing.T) {
 // fault.
 func TestWorkloadMismatchErrorText(t *testing.T) {
 	spec := testSpec(1000)
-	spec.Workload = workload.Named("pi")
+	spec.Workload = fullIdentity(t, "pi", nil)
 	coord, err := NewCoordinator(spec, CoordinatorConfig{WorkDir: t.TempDir()}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestWorkloadMismatchErrorText(t *testing.T) {
 
 	var reply RegisterReply
 	err = rc.Call(context.Background(), ServiceName+".Register",
-		RegisterArgs{Workload: workload.Named("diffusion"), ClientID: "mismatched"}, &reply)
+		RegisterArgs{Workload: fullIdentity(t, "diffusion", nil), ClientID: "mismatched"}, &reply)
 	if err == nil {
 		t.Fatal("mismatched workload accepted")
 	}
@@ -95,11 +95,12 @@ func TestWorkloadMismatchErrorText(t *testing.T) {
 		t.Fatalf("definitive rejection was retried %d times", st.Retries)
 	}
 
-	// The same text reaches RunNamedWorker callers (wrapped with the
-	// call site).
-	if err := RunNamedWorker(context.Background(), coord.Addr(), "diffusion", uniformRealization); err == nil ||
+	// The same text reaches RunWorker callers (wrapped with the call
+	// site).
+	if _, err := RunWorker(context.Background(), coord.Addr(),
+		WorkerConfig{Workload: fullIdentity(t, "diffusion", nil)}, uniformRealization); err == nil ||
 		!strings.Contains(err.Error(), want) {
-		t.Fatalf("RunNamedWorker error %v does not carry %q", err, want)
+		t.Fatalf("RunWorker error %v does not carry %q", err, want)
 	}
 }
 
@@ -161,7 +162,11 @@ func TestWorkloadParameterMismatchErrorText(t *testing.T) {
 			`cluster: worker runs workload "pi" but the job is "mm1"`,
 		},
 		{"identical identity", fullIdentity(t, "mm1", nil), ""},
-		{"name-only worker (legacy level)", workload.Named("mm1"), ""},
+		{
+			"name without a fingerprint",
+			workload.Identity{Name: "mm1"},
+			`cluster: workload "mm1": worker uses parameter schema v0 but the job uses v1`,
+		},
 		{"anonymous worker", workload.Identity{}, ""},
 	}
 
@@ -219,13 +224,13 @@ func TestWorkloadParameterMismatchEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	badID := fullIdentity(t, "mm1", workload.Values{"warmup": 10, "batch": 10, "lambda": 0.9})
-	if _, err := RunResilientWorker(ctx, coord.Addr(), WorkerConfig{Workload: badID}, uniformRealization); err == nil {
+	if _, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Workload: badID}, uniformRealization); err == nil {
 		t.Fatal("differently-parameterized worker accepted")
 	} else if !strings.Contains(err.Error(), "parameter lambda mismatch") {
 		t.Fatalf("rejection %v does not name the differing parameter", err)
 	}
 
-	rep, err := RunResilientWorker(ctx, coord.Addr(), WorkerConfig{Workload: jobID}, uniformRealization)
+	rep, err := RunWorker(ctx, coord.Addr(), WorkerConfig{Workload: jobID}, uniformRealization)
 	if err != nil {
 		t.Fatal(err)
 	}

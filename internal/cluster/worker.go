@@ -15,17 +15,16 @@ import (
 	"parmonc/internal/collect"
 	"parmonc/internal/core"
 	"parmonc/internal/obs"
-	"parmonc/internal/rng"
 	"parmonc/internal/stat"
 	"parmonc/internal/workload"
 )
 
-// WorkerConfig tunes RunResilientWorker beyond the address.
+// WorkerConfig tunes RunWorker beyond the address.
 type WorkerConfig struct {
 	// Workload is the parameter-resolved identity of the realization
 	// routine this worker runs; the coordinator rejects any identity
-	// mismatch at registration when its JobSpec also carries one. Use
-	// workload.Named for a name-only (legacy) identity.
+	// mismatch at registration when its JobSpec also carries one. The
+	// zero Identity is an unnamed user factory and is not checked.
 	Workload workload.Identity
 	// Hostname is informational (default: os.Hostname).
 	Hostname string
@@ -100,81 +99,30 @@ func newClientID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// RunWorker connects to the coordinator at addr, registers, and
-// simulates realizations with the given factory-produced routine until
-// the coordinator says stop or ctx is cancelled. It implements the
-// worker half of the protocol; the paper's analogue is an MPI rank
-// executing the user program. Transport faults are survived per
-// DefaultRetryPolicy: calls are retried with exponential backoff and
-// the connection is re-established after a loss, while sequence
-// numbers keep redelivered pushes from double-counting moments.
-func RunWorker(ctx context.Context, addr string, factory core.Factory) error {
-	return RunNamedWorker(ctx, addr, "", factory)
-}
-
-// RunNamedWorker is RunWorker carrying a name-only workload identity
-// that the coordinator verifies at registration (when its JobSpec names
-// one). Full parameter-fingerprint checking needs WorkerConfig.Workload
-// set to a resolved workload.Identity via RunResilientWorker.
-func RunNamedWorker(ctx context.Context, addr, workloadName string, factory core.Factory) error {
-	_, err := RunResilientWorker(ctx, addr, WorkerConfig{Workload: workload.Named(workloadName)}, factory)
-	return err
-}
-
-// WorkerOptions tunes RunWorkerOpts. The zero value retries per
-// DefaultRetryPolicy. Deprecated in favor of WorkerConfig/RetryPolicy;
-// kept for the constant-delay startup-race semantics it always had.
-type WorkerOptions struct {
-	// DialAttempts is the number of connection attempts before giving
-	// up (default 1). On a real cluster workers often start before the
-	// coordinator's listener is up; retrying makes job submission
-	// order-independent.
-	DialAttempts int
-	// RetryDelay is the pause between attempts (default 500 ms).
-	RetryDelay time.Duration
-	// DialTimeout bounds each attempt (default 5 s).
-	DialTimeout time.Duration
-}
-
-// RunWorkerOpts is RunWorker with explicit connection options.
-func RunWorkerOpts(ctx context.Context, addr string, factory core.Factory, opts WorkerOptions) error {
-	policy := RetryPolicy{
-		MaxAttempts: opts.DialAttempts,
-		BaseDelay:   opts.RetryDelay,
-		MaxDelay:    opts.RetryDelay,
-		Multiplier:  1, // legacy semantics: constant-delay dial retries
-		DialTimeout: opts.DialTimeout,
-	}
-	if policy.MaxAttempts < 1 {
-		policy.MaxAttempts = 1
-	}
-	if policy.BaseDelay <= 0 {
-		policy.BaseDelay = 500 * time.Millisecond
-		policy.MaxDelay = 500 * time.Millisecond
-	}
-	_, err := RunResilientWorker(ctx, addr, WorkerConfig{Retry: policy}, factory)
-	return err
-}
-
 // errWorkerStopped is the internal signal that the coordinator told
 // this session to stop during a re-register.
 var errWorkerStopped = errors.New("cluster: coordinator said stop")
 
-// RunResilientWorker is the full-featured worker: it registers
-// idempotently (a retried Register after a lost reply reclaims the same
-// worker index and epoch), then loops acquiring leases — contiguous
-// windows of realization substreams — and simulating them, pushing
-// subtotal snapshots every PassEvery realizations and at every lease
-// boundary. Pushes carry monotonic sequence numbers so the coordinator
-// can deduplicate redeliveries (at-least-once delivery, exactly-once
-// merge) plus the worker's registration epoch and lease progress, so a
-// session the coordinator has declared dead is fenced instead of
-// double-merged. A fenced worker abandons its local subtotals (the
-// lease remainder has been reissued elsewhere), re-registers into a
-// fresh epoch and keeps working. When the job defines a heartbeat
-// interval, a background loop proves liveness between pushes with the
-// explicit Heartbeat RPC — so a slow-but-alive worker is never pruned.
-func RunResilientWorker(ctx context.Context, addr string, cfg WorkerConfig, factory core.Factory) (rep WorkerReport, err error) {
+// RunWorker is the worker half of the protocol — the paper's analogue
+// is an MPI rank executing the user program. It registers idempotently
+// (a retried Register after a lost reply reclaims the same worker index
+// and epoch), then loops acquiring leases — contiguous windows of
+// realization substreams — and simulating them with the
+// factory-produced routine, pushing subtotal snapshots every PassEvery
+// realizations and at every lease boundary, until the coordinator says
+// stop or ctx is cancelled. Transport faults are survived per
+// cfg.Retry: calls are retried with backoff and the connection is
+// re-established after a loss. Pushes carry monotonic sequence numbers
+// so the coordinator can deduplicate redeliveries (at-least-once
+// delivery, exactly-once merge) plus the worker's registration epoch
+// and lease progress, so a session the coordinator has declared dead is
+// fenced instead of double-merged. A fenced worker abandons its local
+// subtotals (the lease remainder has been reissued elsewhere),
+// re-registers into a fresh epoch and keeps working. When the job
+// defines a heartbeat interval, a background loop proves liveness
+// between pushes with the explicit Heartbeat RPC — so a slow-but-alive
+// worker is never pruned.
+func RunWorker(ctx context.Context, addr string, cfg WorkerConfig, factory core.Factory) (rep WorkerReport, err error) {
 	if factory == nil {
 		return rep, errors.New("cluster: nil realization factory")
 	}
@@ -239,13 +187,12 @@ func RunResilientWorker(ctx context.Context, addr string, cfg WorkerConfig, fact
 		}()
 	}
 
-	realize, err := factory(w)
+	realize, err := factory.Build(w)
 	if err != nil {
-		return rep, fmt.Errorf("cluster: building realization: %w", err)
+		return rep, fmt.Errorf("cluster: %w", err)
 	}
 
 	local := stat.New(spec.Nrow, spec.Ncol)
-	out := make([]float64, spec.Nrow*spec.Ncol)
 	var seq uint64
 
 	// Heartbeats run on their own client and goroutine: the resilient
@@ -356,15 +303,27 @@ func RunResilientWorker(ctx context.Context, addr string, cfg WorkerConfig, fact
 	// realizations and at the window boundary so the coordinator's
 	// ledger sees the lease complete.
 	runLease := func(l collect.Lease) (stop, fenced bool, err error) {
-		stream, err := rng.NewStream(spec.Params, rng.Coord{
-			Experiment: spec.SeqNum, Processor: l.Proc, Realization: l.Start,
-		})
-		if err != nil {
-			return false, false, err
+		if ctx.Err() != nil {
+			return true, false, nil
 		}
 		local.Reset()
 		var done int64
-		for k := int64(0); k < l.Count; k++ {
+		err = core.RunLease(spec.Params, spec.SeqNum, l, realize, local, func(k int64, elapsed time.Duration) (bool, error) {
+			done++
+			rep.Realizations++
+			if wo != nil {
+				wo.realizations.Inc()
+				wo.realizeSec.Observe(elapsed.Seconds())
+			}
+			if local.N() >= spec.PassEvery || k == l.Count-1 {
+				var perr error
+				if stop, fenced, perr = push(ctx, l.ID, done); perr != nil {
+					return false, fmt.Errorf("push: %w", perr)
+				}
+				if stop || fenced {
+					return false, nil
+				}
+			}
 			if ctx.Err() != nil {
 				// Cancelled mid-window: flush the merged-prefix delta on
 				// a bounded context so the acked ledger matches what the
@@ -375,48 +334,18 @@ func RunResilientWorker(ctx context.Context, addr string, cfg WorkerConfig, fact
 					_, _, _ = push(fctx, l.ID, done)
 					cancel()
 				}
-				return true, false, nil
+				stop = true
+				return false, nil
 			}
-			if k > 0 {
-				if err := stream.NextRealization(); err != nil {
-					return false, false, err
-				}
-			}
-			for i := range out {
-				out[i] = 0
-			}
-			t0 := time.Now()
-			if err := realize(stream, out); err != nil {
-				return false, false, fmt.Errorf("cluster: realization %d of %v: %w", k, l, err)
-			}
-			elapsed := time.Since(t0)
-			if err := local.AddTimed(out, elapsed); err != nil {
-				return false, false, err
-			}
-			done++
-			rep.Realizations++
-			if wo != nil {
-				wo.realizations.Inc()
-				wo.realizeSec.Observe(elapsed.Seconds())
-			}
-			if local.N() >= spec.PassEvery || k == l.Count-1 {
-				st, fenced, err := push(ctx, l.ID, done)
-				if err != nil {
-					return false, false, fmt.Errorf("cluster: push: %w", err)
-				}
-				if fenced {
-					return false, true, nil
-				}
-				if st && k < l.Count-1 {
-					return true, false, nil
-				}
-				if st {
-					stop = true
-				}
-			}
+			return true, nil
+		})
+		if err != nil {
+			return false, false, fmt.Errorf("cluster: %w", err)
 		}
-		rep.Leases++
-		return stop, false, nil
+		if done == l.Count && !fenced {
+			rep.Leases++
+		}
+		return stop, fenced, nil
 	}
 
 	pollDelay := spec.Heartbeat

@@ -151,7 +151,7 @@ type Config struct {
 	Now func() time.Time
 
 	// Mono supplies the monotonic clock used for worker liveness
-	// (PruneStale, Overdue). Nil derives it from Now when Now is set
+	// (Overdue). Nil derives it from Now when Now is set
 	// (the simulator's virtual time is already jump-free), and
 	// otherwise from time.Since on a monotonic base — so a wall-clock
 	// step (NTP, VM migration) can never mass-prune healthy workers.
@@ -505,27 +505,6 @@ func (c *Collector) Active() int {
 	return int(c.activeCount.Load())
 }
 
-// PruneStale drops workers not heard from for longer than timeout and
-// returns how many were dropped. Liveness ages are measured on the
-// monotonic clock (Config.Mono), so a wall-clock step cannot make a
-// healthy worker look stale. A pruned worker's already-merged subtotals
-// remain valid (they came from its own disjoint substream); leases it
-// held are revoked but their remainders are dropped — transports that
-// reissue lost work use RevokeWorker instead.
-func (c *Collector) PruneStale(timeout time.Duration) int {
-	age := c.mono()
-	pruned := 0
-	for _, sh := range c.shardList() {
-		sh.mu.Lock()
-		if sh.active && age-sh.lastSeen > timeout {
-			c.pruneShard(sh)
-			pruned++
-		}
-		sh.mu.Unlock()
-	}
-	return pruned
-}
-
 // pruneShard deactivates sh, revokes its leases, and emits the prune
 // event. The shard's epoch survives so a comeback can be detected (and
 // fenced) by RegisterEpoch with a bumped epoch. Called with sh.mu held.
@@ -730,23 +709,19 @@ func (c *Collector) Push(w int, snap stat.Snapshot) error {
 	return c.PushFrom(PushOrigin{Worker: w}, snap)
 }
 
-// PushSeq is Push carrying a per-worker delivery sequence number, the
-// idempotency key of an at-least-once transport. Sequence numbers start
-// at 1 and increase monotonically per worker; a snapshot whose sequence
-// number has already been applied is acknowledged without merging
-// (counted as a redelivery), so a transport may retry a push whose
-// reply was lost without double-counting moments — at-least-once
-// delivery, exactly-once merge. Seq 0 means "unsequenced": always
-// merged (the in-process transport needs no idempotency).
-func (c *Collector) PushSeq(w int, seq uint64, snap stat.Snapshot) error {
-	return c.PushFrom(PushOrigin{Worker: w, Seq: seq}, snap)
-}
-
 // PushOrigin identifies where a push came from and what it claims to
 // advance: the worker index, its registration epoch (0: unfenced), its
 // delivery sequence number (0: unsequenced), and — when the push
 // belongs to a lease — the lease ID plus the cumulative count of that
 // lease's realizations completed once this snapshot merges.
+//
+// Seq is the idempotency key of an at-least-once transport: sequence
+// numbers start at 1 and increase monotonically per worker, and a
+// snapshot whose sequence number has already been applied is
+// acknowledged without merging (counted as a redelivery), so a
+// transport may retry a push whose reply was lost without
+// double-counting moments — at-least-once delivery, exactly-once merge.
+// The in-process transport needs no idempotency and leaves it zero.
 type PushOrigin struct {
 	Worker int
 	Epoch  uint64

@@ -212,7 +212,18 @@ func TestStableMomentsMatchesRaw(t *testing.T) {
 	}
 }
 
-func TestPruneStale(t *testing.T) {
+// pruneOverdue is the supervision step the transports perform: revoke
+// every worker silent for longer than age. It returns how many it
+// revoked.
+func pruneOverdue(c *collect.Collector, age time.Duration) int {
+	over := c.Overdue(age)
+	for _, w := range over {
+		c.RevokeWorker(w)
+	}
+	return len(over)
+}
+
+func TestPruneOverdue(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	c, err := collect.New(openDir(t), testMeta(), collect.Config{
 		Now: func() time.Time { return clock },
@@ -227,7 +238,7 @@ func TestPruneStale(t *testing.T) {
 		t.Fatal(err) // refreshes worker 0's liveness
 	}
 	clock = clock.Add(31 * time.Second)
-	if n := c.PruneStale(time.Minute); n != 1 {
+	if n := pruneOverdue(c, time.Minute); n != 1 {
 		t.Fatalf("pruned %d, want 1", n)
 	}
 	if c.IsActive(1) || !c.IsActive(0) {

@@ -80,7 +80,10 @@ func runRPCTransport(t *testing.T, L int64) stat.Report {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	workerErr := make(chan error, 1)
-	go func() { workerErr <- cluster.RunWorker(ctx, coord.Addr(), countingFactory) }()
+	go func() {
+		_, err := cluster.RunWorker(ctx, coord.Addr(), cluster.WorkerConfig{}, countingFactory)
+		workerErr <- err
+	}()
 
 	rep, err := coord.Wait(ctx)
 	if err != nil {
@@ -187,7 +190,7 @@ func TestRegistryConformanceBitIdentical(t *testing.T) {
 			}
 			workerErr := make(chan error, 1)
 			go func() {
-				_, err := cluster.RunResilientWorker(ctx, coord.Addr(),
+				_, err := cluster.RunWorker(ctx, coord.Addr(),
 					cluster.WorkerConfig{Workload: id}, workerFactory)
 				workerErr <- err
 			}()
@@ -258,7 +261,7 @@ func TestTransportConformanceMultiWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < 4; i++ {
-		go cluster.RunWorker(ctx, coord.Addr(), uniform)
+		go cluster.RunWorker(ctx, coord.Addr(), cluster.WorkerConfig{}, uniform)
 	}
 	rep, err := coord.Wait(ctx)
 	if err != nil {
@@ -356,7 +359,7 @@ func TestShardedInterleavingBitIdentical(t *testing.T) {
 	ref := newEngine()
 	for w := range pushes {
 		for seq, s := range pushes[w] {
-			if err := ref.PushSeq(w, uint64(seq+1), s); err != nil {
+			if err := ref.PushFrom(collect.PushOrigin{Worker: w, Seq: uint64(seq + 1)}, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -375,7 +378,7 @@ func TestShardedInterleavingBitIdentical(t *testing.T) {
 			if cursor[w] >= count {
 				continue
 			}
-			if err := eng.PushSeq(w, uint64(cursor[w]+1), pushes[w][cursor[w]]); err != nil {
+			if err := eng.PushFrom(collect.PushOrigin{Worker: w, Seq: uint64(cursor[w] + 1)}, pushes[w][cursor[w]]); err != nil {
 				t.Fatal(err)
 			}
 			cursor[w]++
@@ -396,7 +399,7 @@ func TestShardedInterleavingBitIdentical(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for seq, s := range pushes[w] {
-					if err := eng.PushSeq(w, uint64(seq+1), s); err != nil {
+					if err := eng.PushFrom(collect.PushOrigin{Worker: w, Seq: uint64(seq + 1)}, s); err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}

@@ -19,11 +19,11 @@ func TestPushSeqExactlyOnceMerge(t *testing.T) {
 	c.Register(1)
 
 	snap := snapOf(t, 1, 2, []float64{1, 2})
-	if err := c.PushSeq(1, 1, snap); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // the same delivery, retried
-		if err := c.PushSeq(1, 1, snap); err != nil {
+		if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snap); err != nil {
 			t.Fatalf("redelivery %d: %v (duplicates must ack, not error)", i, err)
 		}
 	}
@@ -42,10 +42,10 @@ func TestPushSeqExactlyOnceMerge(t *testing.T) {
 	// A stale sequence number (lower than the high-water mark) is also
 	// a duplicate, even if never literally seen: monotonicity is the
 	// contract.
-	if err := c.PushSeq(1, 2, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 2}, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushSeq(1, 1, snap); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.N(); got != 2 {
@@ -53,7 +53,7 @@ func TestPushSeqExactlyOnceMerge(t *testing.T) {
 	}
 }
 
-// TestPushSeqZeroIsUnsequenced: seq 0 is the legacy in-process path and
+// TestPushSeqZeroIsUnsequenced: seq 0 is the in-process path and
 // always merges — no dedup, no high-water-mark movement.
 func TestPushSeqZeroIsUnsequenced(t *testing.T) {
 	c, err := collect.New(openDir(t), testMeta(), collect.Config{})
@@ -87,10 +87,10 @@ func TestPushSeqIsPerWorker(t *testing.T) {
 	}
 	c.Register(1)
 	c.Register(2)
-	if err := c.PushSeq(1, 1, snapOf(t, 1, 2, []float64{1, 2})); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snapOf(t, 1, 2, []float64{1, 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushSeq(2, 1, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 2, Seq: 1}, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.N(); got != 2 {
@@ -109,14 +109,14 @@ func TestDeregisterResetsSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Register(1)
-	if err := c.PushSeq(1, 5, snapOf(t, 1, 2, []float64{1, 2})); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 5}, snapOf(t, 1, 2, []float64{1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Deregister(1); err != nil {
 		t.Fatal(err)
 	}
 	c.Register(1)
-	if err := c.PushSeq(1, 1, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
+	if err := c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snapOf(t, 1, 2, []float64{3, 4})); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.N(); got != 2 {
@@ -136,8 +136,8 @@ func TestDuplicateEventAndMetricsRow(t *testing.T) {
 	}
 	c.Register(1)
 	snap := snapOf(t, 1, 2, []float64{1, 2})
-	c.PushSeq(1, 1, snap)
-	c.PushSeq(1, 1, snap)
+	c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snap)
+	c.PushFrom(collect.PushOrigin{Worker: 1, Seq: 1}, snap)
 	var dup bool
 	for _, k := range kinds {
 		if k == collect.EventDuplicate {

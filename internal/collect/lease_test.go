@@ -223,11 +223,11 @@ func TestReclaimLeases(t *testing.T) {
 	}
 }
 
-// TestPruneStaleMonotonicClock drives liveness through an injected
+// TestPruneOverdueMonotonicClock drives liveness through an injected
 // monotonic clock: ages are measured on Config.Mono readings only, so a
 // wall-clock step (Config.Now jumping hours ahead, as under NTP
 // correction) cannot make a healthy worker look stale.
-func TestPruneStaleMonotonicClock(t *testing.T) {
+func TestPruneOverdueMonotonicClock(t *testing.T) {
 	var mono time.Duration
 	wall := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	c, err := collect.New(openDir(t), testMeta(), collect.Config{
@@ -243,7 +243,7 @@ func TestPruneStaleMonotonicClock(t *testing.T) {
 	// The wall clock leaps four hours; the monotonic clock has barely
 	// moved. Nobody may be pruned.
 	wall = wall.Add(4 * time.Hour)
-	if n := c.PruneStale(time.Minute); n != 0 {
+	if n := pruneOverdue(c, time.Minute); n != 0 {
 		t.Fatalf("wall-clock jump pruned %d workers", n)
 	}
 	if got := c.Overdue(time.Minute); len(got) != 0 {
@@ -261,7 +261,7 @@ func TestPruneStaleMonotonicClock(t *testing.T) {
 	if len(over) != 1 || over[0] != 1 {
 		t.Fatalf("Overdue = %v, want [1]", over)
 	}
-	if n := c.PruneStale(time.Minute); n != 1 {
+	if n := pruneOverdue(c, time.Minute); n != 1 {
 		t.Fatalf("pruned %d workers, want 1", n)
 	}
 	if c.IsActive(1) || !c.IsActive(2) {

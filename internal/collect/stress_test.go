@@ -13,7 +13,7 @@ import (
 )
 
 // Concurrency stress test for the sharded collector: many goroutines
-// hammer PushSeq / Touch / PruneStale / Save / Progress concurrently
+// hammer PushFrom / Touch / Overdue / Save / Progress concurrently
 // for a fixed op budget, and the final counters and report bytes must
 // match a single-threaded replay of the same per-worker op logs. Run
 // with -race; the replay assertion is what turns "didn't crash" into
@@ -92,7 +92,7 @@ func applyLog(t *testing.T, eng *Collector, w int, ops []stressOp) {
 			}
 			continue
 		}
-		if err := eng.PushSeq(w, op.seq, op.snap); err != nil {
+		if err := eng.PushFrom(PushOrigin{Worker: w, Seq: op.seq}, op.snap); err != nil {
 			t.Errorf("worker %d: push seq %d: %v", w, op.seq, err)
 			return
 		}
@@ -160,11 +160,10 @@ func TestStressConcurrentPushersMatchSequentialReplay(t *testing.T) {
 				case 2:
 					// A generous timeout: liveness churn without prunes,
 					// so the replay below sees the same active set.
-					if n := eng.PruneStale(time.Hour); n != 0 {
-						t.Errorf("pruned %d workers mid-stress", n)
+					if over := eng.Overdue(time.Hour); len(over) != 0 {
+						t.Errorf("workers %v overdue mid-stress", over)
 						return
 					}
-					_ = eng.Overdue(time.Hour)
 				case 3:
 					_ = eng.Report()
 					_ = eng.Metrics()

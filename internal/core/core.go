@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -273,6 +274,20 @@ func newRunObs(reg *obs.Registry, eng *collect.Collector) *runObs {
 // copy of the user routine.
 type Factory func(worker int) (Realization, error)
 
+// Build calls the factory for the given worker and rejects a nil
+// routine — the one place every transport takes the Realization its
+// loop will call.
+func (f Factory) Build(worker int) (Realization, error) {
+	r, err := f(worker)
+	if err != nil {
+		return nil, fmt.Errorf("building realization for worker %d: %w", worker, err)
+	}
+	if r == nil {
+		return nil, fmt.Errorf("factory returned nil realization for worker %d", worker)
+	}
+	return r, nil
+}
+
 // Run executes the simulation described by cfg, calling r once per
 // realization. r is invoked concurrently from cfg.Workers goroutines, so
 // it must be safe for concurrent use (stateless routines are; for
@@ -410,12 +425,9 @@ func RunFactory(ctx context.Context, cfg Config, factory Factory) (Result, error
 	// so a factory failure cannot leave half a fleet running.
 	routines := make([]Realization, cfg.Workers)
 	for m := range routines {
-		r, err := factory(m)
+		r, err := factory.Build(m)
 		if err != nil {
-			return Result{}, fmt.Errorf("core: building realization for worker %d: %w", m, err)
-		}
-		if r == nil {
-			return Result{}, fmt.Errorf("core: factory returned nil realization for worker %d", m)
+			return Result{}, fmt.Errorf("core: %w", err)
 		}
 		routines[m] = r
 	}
@@ -465,17 +477,15 @@ func RunFactory(ctx context.Context, cfg Config, factory Factory) (Result, error
 	return Result{}, runErr
 }
 
-// runWorker simulates realizations until worker m's leases are
-// exhausted or the context is cancelled, pushing subtotal snapshots
-// straight into the collector engine every PassPeriod (or after every
-// realization under StrictExchange) — the push only takes this worker's
-// shard lock, so workers never serialize on each other. A bounded run
-// executes the given leases in order; an unbounded run (no leases)
-// draws from the endless window on processor subsequence m+1 until
-// cancelled.
+// runWorker simulates worker m's leases in order until they are
+// exhausted, the context is cancelled or the stop rule fires, pushing
+// subtotal snapshots straight into the collector engine every
+// PassPeriod (or after every realization under StrictExchange) — the
+// push only takes this worker's shard lock, so workers never serialize
+// on each other. An unbounded run (no leases) is one endless lease on
+// processor subsequence m+1.
 func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases []collect.Lease, r Realization, eng *collect.Collector, ro *runObs) (err error) {
 	local := stat.New(cfg.Nrow, cfg.Ncol)
-	out := make([]float64, cfg.Nrow*cfg.Ncol)
 	lastPass := time.Now()
 
 	push := func() error {
@@ -505,67 +515,72 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		}
 	}()
 
-	// one realization: zero the buffer, run the routine, accumulate.
-	step := func(stream *rng.Stream, k int64) error {
-		for i := range out {
-			out[i] = 0
-		}
-		t0 := time.Now()
-		if err := callRealization(r, stream, out); err != nil {
-			return fmt.Errorf("realization %d: %w", k, err)
-		}
-		elapsed := time.Since(t0)
-		if err := local.AddTimed(out, elapsed); err != nil {
-			return err
-		}
+	running := func() bool { return ctx.Err() == nil && !eng.StopSatisfied() }
+	step := func(_ int64, elapsed time.Duration) (bool, error) {
 		if ro != nil {
 			ro.realizations.Inc()
 			ro.realizeSec.Observe(elapsed.Seconds())
 		}
 		if cfg.StrictExchange || time.Since(lastPass) >= cfg.PassPeriod {
-			return push()
+			if err := push(); err != nil {
+				return false, err
+			}
 		}
-		return nil
+		return running(), nil
 	}
 
 	if cfg.MaxSamples <= 0 {
-		// Unbounded: an endless window on processor subsequence m+1.
-		stream, err := rng.NewStream(params, rng.Coord{Experiment: cfg.SeqNum, Processor: uint64(m) + 1})
-		if err != nil {
-			return err
+		leases = []collect.Lease{{Proc: uint64(m) + 1, Count: math.MaxInt64}}
+	}
+	for _, l := range leases {
+		if !running() {
+			return nil
 		}
-		for k := int64(0); ; k++ {
-			if ctx.Err() != nil || eng.StopSatisfied() {
-				return nil
-			}
-			if k > 0 {
-				if err := stream.NextRealization(); err != nil {
-					return err
-				}
-			}
-			if err := step(stream, k); err != nil {
-				return err
-			}
+		if err := RunLease(params, cfg.SeqNum, l, r, local, step); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	for _, l := range leases {
-		stream, err := rng.NewStream(params, rng.Coord{Experiment: cfg.SeqNum, Processor: l.Proc, Realization: l.Start})
-		if err != nil {
-			return err
-		}
-		for k := int64(0); k < l.Count; k++ {
-			if ctx.Err() != nil || eng.StopSatisfied() {
-				return nil
-			}
-			if k > 0 {
-				if err := stream.NextRealization(); err != nil {
-					return err
-				}
-			}
-			if err := step(stream, k); err != nil {
+// RunLease is the library's one realization loop, shared by every
+// transport: it simulates the realizations of lease l — coordinates
+// Start … Start+Count-1 of processor subsequence l.Proc in experiment
+// seqNum — in order, each on its own realization substream, into a
+// zeroed buffer, and adds each result (with its wall time) to local. A
+// routine that fails or panics ends the lease with an error.
+//
+// After every realization RunLease calls step with the realization's
+// index within the lease and its wall time; step owns the exchange
+// policy (when to snapshot and push local) and returns false to end the
+// lease early — cancellation, a stop signal, a fence. An endless window
+// is a lease with Count = math.MaxInt64.
+func RunLease(params rng.Params, seqNum uint64, l collect.Lease, r Realization, local *stat.Accumulator,
+	step func(k int64, elapsed time.Duration) (more bool, err error)) error {
+	stream, err := rng.NewStream(params, rng.Coord{Experiment: seqNum, Processor: l.Proc, Realization: l.Start})
+	if err != nil {
+		return err
+	}
+	out := make([]float64, local.Rows()*local.Cols())
+	for k := int64(0); k < l.Count; k++ {
+		if k > 0 {
+			if err := stream.NextRealization(); err != nil {
 				return err
 			}
+		}
+		for i := range out {
+			out[i] = 0
+		}
+		t0 := time.Now()
+		if err := callRealization(r, stream, out); err != nil {
+			return fmt.Errorf("realization %d of %v: %w", l.Start+uint64(k), l, err)
+		}
+		elapsed := time.Since(t0)
+		if err := local.AddTimed(out, elapsed); err != nil {
+			return err
+		}
+		if more, err := step(k, elapsed); err != nil || !more {
+			return err
 		}
 	}
 	return nil
@@ -579,9 +594,9 @@ func Manaver(workdir string) (stat.Report, error) {
 }
 
 // callRealization invokes the user routine, converting a panic into an
-// error so one bad realization cannot take down the whole simulation —
-// the run fails cleanly with results saved, as when a realization
-// returns an error.
+// error so one bad realization cannot take down the process running it:
+// the run (or the worker) fails cleanly with results saved, as when a
+// realization returns an error.
 func callRealization(r Realization, stream *rng.Stream, out []float64) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -73,7 +73,6 @@ func TestRunMgrChaos(t *testing.T) {
 					// would. Its leases reissue via the timeout reaper.
 					for ctx.Err() == nil {
 						rep, err := RunFleetWorker(ctx, raw.Addr().String(), FleetWorkerConfig{
-							Poll: 5 * time.Millisecond,
 							Retry: cluster.RetryPolicy{
 								MaxAttempts: 6,
 								BaseDelay:   2 * time.Millisecond,

@@ -166,7 +166,6 @@ func TestConformanceConcurrentTCP(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go func() {
 			_, err := RunFleetWorker(ctx, ln.Addr().String(), FleetWorkerConfig{
-				Poll:  5 * time.Millisecond,
 				Retry: cluster.RetryPolicy{BaseDelay: 5 * time.Millisecond, CallTimeout: 10 * time.Second},
 			})
 			workerDone <- err

@@ -46,18 +46,15 @@ type AttachReply struct {
 // PullArgs/PullReply: a worker asks the fair-share scheduler for work.
 // Granted=false means "nothing for you right now"; Stop means the
 // service is shutting down; Reattach means the worker's incarnation
-// died and it should attach again (keeping its caches). Epoch zero on
-// any args means unfenced — the in-process protocol tests predate
-// epochs and a direct caller opts out of fencing.
+// died and it should attach again (keeping its caches). Every call
+// carries the epoch Attach returned; there is no unfenced caller.
 //
 // Wait is the long-poll ask: how long the worker is willing to have
 // the coordinator hold an ungranted pull open waiting for work. The
 // effective hold is the smaller of Wait and the coordinator's
-// Config.PullWait; zero asks for the legacy immediate answer. Waited
-// in the reply tells the worker whether the coordinator honored a
-// hold — when it did, pulling again immediately is the intended
-// cadence; when it did not (long-poll disabled server-side), the
-// worker falls back to jittered polling.
+// Config.PullWait, so an ungranted reply means the hold ran out (or a
+// wake found nothing for this worker) and pulling again immediately is
+// the intended cadence.
 type PullArgs struct {
 	Worker int
 	Epoch  uint64
@@ -68,7 +65,6 @@ type PullReply struct {
 	Granted  bool
 	Stop     bool
 	Reattach bool
-	Waited   bool
 	Task     Task
 }
 
@@ -89,27 +85,9 @@ type Task struct {
 	Lease       collect.Lease
 }
 
-// TaskPushArgs/TaskPushReply: one subtotal push. Done is cumulative
-// within the granted lease window. Fenced tells the worker its grant
-// was revoked (abandon the task, pull again); Final tells it the run
-// finished (same reaction).
-type TaskPushArgs struct {
-	Worker  int
-	Epoch   uint64
-	RunID   string
-	LeaseID uint64
-	Done    int64
-	Snap    stat.Snapshot
-}
-
-type TaskPushReply struct {
-	Fenced bool
-	Final  bool
-}
-
-// PushEntry is one completed push window inside a PushBatch: the same
-// payload as a TaskPushArgs, minus the per-call worker identity that
-// the batch envelope carries once.
+// PushEntry is one completed push window inside a PushBatch: a subtotal
+// snapshot and the lease it advances. Done is cumulative within the
+// granted lease window.
 type PushEntry struct {
 	RunID   string
 	LeaseID uint64
@@ -117,14 +95,16 @@ type PushEntry struct {
 	Snap    stat.Snapshot
 }
 
-// PushBatchArgs/PushBatchReply: the coalesced push path. A worker
-// batches the windows it completed — possibly across several runs and
-// leases — into one RPC; the coordinator applies them in order, so for
-// any single lease the done ledger sees the same strictly-increasing
-// window sequence it would from unbatched pushes, and dedups each
-// entry on the same absolute substream position. Entries answers
-// verdicts positionally; Err carries an application-level rejection of
-// that entry alone (the rest of the batch still lands).
+// PushBatchArgs/PushBatchReply: the push path. A worker batches the
+// windows it completed — possibly across several runs and leases — into
+// one RPC; the coordinator applies them in order, so for any single
+// lease the done ledger sees a strictly-increasing window sequence
+// whatever the batch shape, and dedups each entry on its absolute
+// substream position. Entries answers verdicts positionally: Fenced
+// tells the worker its grant was revoked (abandon the task, pull
+// again), Final that the run finished (same reaction), and Err carries
+// an application-level rejection of that entry alone (the rest of the
+// batch still lands).
 //
 // RetryAfter is soft backpressure: when positive, some pushed run's
 // collector saves are falling behind its averaging period, and the
@@ -191,7 +171,6 @@ type DetachReply struct{}
 type fleetAPI interface {
 	Attach(ctx context.Context, a AttachArgs) (AttachReply, error)
 	Pull(ctx context.Context, a PullArgs) (PullReply, error)
-	Push(ctx context.Context, a TaskPushArgs) (TaskPushReply, error)
 	PushBatch(ctx context.Context, a PushBatchArgs) (PushBatchReply, error)
 	Nack(ctx context.Context, a NackArgs) error
 	Fail(ctx context.Context, a FailArgs) error
@@ -208,9 +187,6 @@ func (lf localFleet) Pull(ctx context.Context, a PullArgs) (PullReply, error) {
 	// The worker's context reaches the long-poll, so a canceled local
 	// worker unparks immediately instead of riding out the hold.
 	return lf.m.pullTask(ctx, a)
-}
-func (lf localFleet) Push(_ context.Context, a TaskPushArgs) (TaskPushReply, error) {
-	return lf.m.pushTask(a)
 }
 func (lf localFleet) PushBatch(_ context.Context, a PushBatchArgs) (PushBatchReply, error) {
 	return lf.m.pushBatch(a)
@@ -234,12 +210,6 @@ func (s *fleetService) Pull(a PullArgs, r *PullReply) error {
 	// No per-call context over net/rpc; a parked pull is unblocked by
 	// its deadline or by the manager waking/stopping it.
 	rep, err := s.m.pullTask(context.Background(), a)
-	*r = rep
-	return err
-}
-
-func (s *fleetService) Push(a TaskPushArgs, r *TaskPushReply) error {
-	rep, err := s.m.pushTask(a)
 	*r = rep
 	return err
 }
@@ -305,8 +275,8 @@ func (m *Manager) ServeFleet(ln net.Listener) error {
 // ResilientClient, so transport faults are retried with backoff and
 // reconnect while application rejections (rpc.ServerError) stay
 // definitive. The protocol is retry-safe by construction: Attach is
-// idempotent per ClientID, Push and PushBatch dedup on the absolute
-// substream sequence, and Nack/Fail/Detach are no-ops once applied.
+// idempotent per ClientID, PushBatch dedups on the absolute substream
+// sequence, and Nack/Fail/Detach are no-ops once applied.
 type rpcFleet struct{ rc *cluster.ResilientClient }
 
 func (rf rpcFleet) Attach(ctx context.Context, a AttachArgs) (AttachReply, error) {
@@ -322,12 +292,6 @@ func (rf rpcFleet) Pull(ctx context.Context, a PullArgs) (PullReply, error) {
 	// the resilient client does not tear down a healthy parked call.
 	timeout := rf.rc.Policy().CallTimeout + a.Wait
 	err := rf.rc.CallWithDeadline(ctx, FleetServiceName+".Pull", a, &r, timeout)
-	return r, err
-}
-
-func (rf rpcFleet) Push(ctx context.Context, a TaskPushArgs) (TaskPushReply, error) {
-	var r TaskPushReply
-	err := rf.rc.Call(ctx, FleetServiceName+".Push", a, &r)
 	return r, err
 }
 
@@ -359,21 +323,15 @@ type FleetWorkerConfig struct {
 	// ClientID makes attach idempotent across retries; default a
 	// process-unique string.
 	ClientID string
-	// Poll is the base idle period of the polling fallback, used when
-	// long-poll is disabled (and as the first step of its jittered
-	// exponential backoff). Default 50 ms.
-	Poll time.Duration
 	// PullWait asks the coordinator to hold an ungranted pull open this
 	// long waiting for work (long-poll); the coordinator may cap it.
-	// Zero selects 10 s; negative disables long-poll and the worker
-	// polls at Poll cadence with jittered backoff.
+	// Zero selects 10 s; negative is an error.
 	PullWait time.Duration
 	// FlushInterval is the target push cadence: completed push windows
 	// are coalesced into one PushBatch until this much time has passed
 	// since the last flush (the batch also flushes at MaxBatch, and
-	// always before the next pull). Zero selects 50 ms; negative
-	// disables coalescing — every window is pushed in its own RPC, the
-	// legacy protocol.
+	// always before the next pull). Zero selects 50 ms; negative is an
+	// error.
 	FlushInterval time.Duration
 	// MaxBatch caps the windows one PushBatch may carry. Default 64.
 	MaxBatch int
@@ -383,15 +341,18 @@ type FleetWorkerConfig struct {
 
 var fleetClientSeq atomic.Int64
 
-func (cfg FleetWorkerConfig) withDefaults() FleetWorkerConfig {
+func (cfg FleetWorkerConfig) withDefaults() (FleetWorkerConfig, error) {
+	if cfg.PullWait < 0 {
+		return cfg, fmt.Errorf("runmgr: negative FleetWorkerConfig.PullWait %v", cfg.PullWait)
+	}
+	if cfg.FlushInterval < 0 {
+		return cfg, fmt.Errorf("runmgr: negative FleetWorkerConfig.FlushInterval %v", cfg.FlushInterval)
+	}
 	if cfg.Hostname == "" {
 		cfg.Hostname, _ = os.Hostname()
 	}
 	if cfg.ClientID == "" {
 		cfg.ClientID = fmt.Sprintf("%s-%d-%d", cfg.Hostname, os.Getpid(), fleetClientSeq.Add(1))
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 50 * time.Millisecond
 	}
 	if cfg.PullWait == 0 {
 		cfg.PullWait = 10 * time.Second
@@ -402,15 +363,15 @@ func (cfg FleetWorkerConfig) withDefaults() FleetWorkerConfig {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	return cfg
+	return cfg, nil
 }
 
 // FleetWorkerReport summarizes one worker's service.
 type FleetWorkerReport struct {
 	Worker       int
 	Realizations int64
-	Pushes       int64 // push windows delivered (batched or not)
-	Batches      int64 // PushBatch RPCs sent (coalesced mode only)
+	Pushes       int64 // push windows delivered
+	Batches      int64 // PushBatch RPCs sent
 	Nacks        int64
 	Retries      int64 // transport retries (TCP workers only)
 	Reconnects   int64 // redials after connection loss (TCP workers only)
@@ -421,70 +382,21 @@ type FleetWorkerReport struct {
 // recovery) must not hold the worker in an infinite attach cycle.
 const maxReattachStreak = 5
 
-// pollBackoff is the reusable idle timer: one time.Timer for the
-// worker's lifetime (instead of a fresh time.After channel every
-// round) plus jittered exponential growth, so a fleet of idle workers
-// neither allocates per poll nor thunders in lockstep.
-type pollBackoff struct {
-	base, max time.Duration
-	streak    int
-	timer     *time.Timer
-	rnd       *rand.Rand
-}
-
-func newPollBackoff(base time.Duration, seed int64) *pollBackoff {
-	if seed == 0 {
-		seed = int64(os.Getpid()) + fleetClientSeq.Load() + 1
-	}
-	max := 16 * base
-	if max > time.Second {
-		max = time.Second
-	}
-	if max < base {
-		max = base
-	}
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &pollBackoff{base: base, max: max, timer: t, rnd: rand.New(rand.NewSource(seed))}
-}
-
-// next returns the jittered delay for the current idle streak and
-// advances the streak: base, 2·base, 4·base, ... capped, ±10%.
-func (p *pollBackoff) next() time.Duration {
-	d := float64(p.base)
-	for i := 0; i < p.streak && d < float64(p.max); i++ {
-		d *= 2
-	}
-	if d > float64(p.max) {
-		d = float64(p.max)
-	}
-	if p.streak < 30 {
-		p.streak++
-	}
-	d *= 0.9 + 0.2*p.rnd.Float64()
-	return time.Duration(d)
-}
-
-func (p *pollBackoff) reset() { p.streak = 0 }
-
-// sleep waits out the next backoff step on the reused timer; false
-// means the context was canceled first.
-func (p *pollBackoff) sleep(ctx context.Context) bool {
-	p.timer.Reset(p.next())
+// reattachPause waits before re-attach attempt n (1-based): 50 ms
+// doubling per attempt, ±10% jitter so a fleet redirected by the same
+// restart does not re-attach in lockstep. False means the context was
+// canceled first.
+func reattachPause(ctx context.Context, n int) bool {
+	d := float64(50*time.Millisecond<<(n-1)) * (0.9 + 0.2*rand.Float64())
+	t := time.NewTimer(time.Duration(d))
+	defer t.Stop()
 	select {
 	case <-ctx.Done():
-		if !p.timer.Stop() {
-			<-p.timer.C
-		}
 		return false
-	case <-p.timer.C:
+	case <-t.C:
 		return true
 	}
 }
-
-func (p *pollBackoff) stop() { p.timer.Stop() }
 
 // leaseKey identifies one grant across runs (lease IDs are only unique
 // within a run).
@@ -544,10 +456,10 @@ func (b *pushBatcher) done(runID string, leaseID uint64) bool {
 }
 
 // flush sends the buffered windows as one PushBatch and applies the
-// per-entry verdicts. A transport failure (or a rejected batch call)
-// fails each affected lease the way an unbatched push failure would:
-// report via Fail and abandon — an unreachable coordinator ignores the
-// report and the leases time out and reissue.
+// per-entry verdicts. After a transport failure (or a rejected batch
+// call) this worker cannot advance the affected leases: report each via
+// Fail and abandon — an unreachable coordinator ignores the report and
+// the leases time out and reissue.
 func (b *pushBatcher) flush(ctx context.Context, worker int, epoch uint64) error {
 	if len(b.entries) == 0 {
 		return nil
@@ -599,8 +511,11 @@ func (b *pushBatcher) flush(ctx context.Context, worker int, epoch uint64) error
 // both transports: attach once, then pull → execute → push until the
 // service says Stop or the context is canceled.
 func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (FleetWorkerReport, error) {
-	cfg = cfg.withDefaults()
 	var rep FleetWorkerReport
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return rep, err
+	}
 	at, err := api.Attach(ctx, AttachArgs{Hostname: cfg.Hostname, ClientID: cfg.ClientID})
 	if err != nil {
 		return rep, fmt.Errorf("runmgr: fleet attach: %w", err)
@@ -615,19 +530,8 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 		_ = api.Detach(dctx, DetachArgs{Worker: at.Worker, Epoch: at.Epoch})
 	}()
 	realizers := map[string]core.Realization{}
-	var batcher *pushBatcher
-	if cfg.FlushInterval >= 0 {
-		batcher = newPushBatcher(api, cfg, &rep)
-	}
-	idle := newPollBackoff(cfg.Poll, cfg.Retry.Seed)
-	defer idle.stop()
-	reattach := newPollBackoff(cfg.Poll, cfg.Retry.Seed+1)
-	defer reattach.stop()
+	batcher := newPushBatcher(api, cfg, &rep)
 	reattaches := 0
-	wait := cfg.PullWait
-	if wait < 0 {
-		wait = 0
-	}
 	for {
 		if ctx.Err() != nil {
 			return rep, nil
@@ -635,13 +539,11 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 		// Flush coalesced windows before asking for more work: the pull
 		// may park in the coordinator's long-poll, and a buffered window
 		// may be the one its run's completion is waiting on.
-		if batcher != nil {
-			_ = batcher.flush(ctx, at.Worker, at.Epoch)
-			if ctx.Err() != nil {
-				return rep, nil
-			}
+		_ = batcher.flush(ctx, at.Worker, at.Epoch)
+		if ctx.Err() != nil {
+			return rep, nil
 		}
-		pr, err := api.Pull(ctx, PullArgs{Worker: at.Worker, Epoch: at.Epoch, Wait: wait})
+		pr, err := api.Pull(ctx, PullArgs{Worker: at.Worker, Epoch: at.Epoch, Wait: cfg.PullWait})
 		if err != nil {
 			if ctx.Err() != nil {
 				return rep, nil
@@ -662,7 +564,7 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 			if reattaches > maxReattachStreak {
 				return rep, fmt.Errorf("runmgr: fleet worker %d: %d consecutive re-attach redirects, coordinator not converging", at.Worker, reattaches)
 			}
-			if !reattach.sleep(ctx) {
+			if !reattachPause(ctx, reattaches) {
 				return rep, nil
 			}
 			at, err = api.Attach(ctx, AttachArgs{Hostname: cfg.Hostname, ClientID: cfg.ClientID})
@@ -676,34 +578,25 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 			continue
 		}
 		reattaches = 0
-		reattach.reset()
 		if !pr.Granted {
-			if pr.Waited {
-				// The coordinator already held this pull for the long-poll
-				// window; pulling right back is the intended ~1 RPC per
-				// wait window cadence.
-				idle.reset()
-				continue
-			}
-			if !idle.sleep(ctx) {
-				return rep, nil
-			}
+			// The coordinator held this pull for the long-poll window;
+			// pulling right back is the intended ~1 RPC per wait window
+			// cadence.
 			continue
 		}
-		idle.reset()
 		executeTask(ctx, api, at.Worker, at.Epoch, pr.Task, realizers, batcher, &rep)
 	}
 }
 
-// executeTask simulates one granted lease window, recording subtotals
-// at PassEvery boundaries and at the window end — into the batcher
-// when coalescing, as one Push RPC each otherwise. It never flushes a
-// partial window: an abandoned task (cancellation, fencing, run
-// completion) leaves the done ledger at the last acked boundary and the
-// remainder is recomputed from there — that discipline is what makes
-// each processor shard's push-window sequence a pure function of the
-// lease partition and PassEvery, and so the report bit-identical no
-// matter how execution interleaves or how windows are batched.
+// executeTask simulates one granted lease window, handing the batcher
+// a subtotal at every PassEvery boundary and at the window end. It
+// never flushes a partial window: an abandoned task (cancellation,
+// fencing, run completion) leaves the done ledger at the last acked
+// boundary and the remainder is recomputed from there — that discipline
+// is what makes each processor shard's push-window sequence a pure
+// function of the lease partition and PassEvery, and so the report
+// bit-identical no matter how execution interleaves or how windows are
+// batched.
 func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, task Task, realizers map[string]core.Realization, batcher *pushBatcher, rep *FleetWorkerReport) {
 	realize, ok := realizers[task.RunID]
 	if !ok {
@@ -716,83 +609,33 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 		realize = r
 		realizers[task.RunID] = realize
 	}
-	l := task.Lease
-	stream, err := rng.NewStream(task.Params, rng.Coord{
-		Experiment: task.SeqNum, Processor: l.Proc, Realization: l.Start,
-	})
-	if err != nil {
-		_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
+	if ctx.Err() != nil {
 		return
 	}
+	l := task.Lease
 	local := stat.New(task.Nrow, task.Ncol)
-	out := make([]float64, task.Nrow*task.Ncol)
 	var done int64
-	for k := int64(0); k < l.Count; k++ {
-		if ctx.Err() != nil {
-			return // abandon mid-window; nothing partial leaves this worker
-		}
-		if k > 0 {
-			if err := stream.NextRealization(); err != nil {
-				_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
-				return
-			}
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		t0 := time.Now()
-		if err := callRealization(realize, stream, out); err != nil {
-			_ = api.Fail(ctx, FailArgs{
-				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID,
-				Reason: fmt.Sprintf("realization %d: %v", uint64(k)+l.Start, err),
-			})
-			return
-		}
-		if err := local.AddTimed(out, time.Since(t0)); err != nil {
-			_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
-			return
-		}
+	err := core.RunLease(task.Params, task.SeqNum, l, realize, local, func(k int64, _ time.Duration) (bool, error) {
 		rep.Realizations++
 		if local.N() >= task.PassEvery || k == l.Count-1 {
 			done += local.N()
-			if batcher != nil {
-				// Coalesced path: buffer the window (Snapshot is a deep
-				// copy) and keep simulating; the batcher decides when the
-				// wire sees it. A flush verdict that ended this lease —
-				// fenced, run finished, entry rejected — abandons the task
-				// exactly as an unbatched reply would.
-				if err := batcher.add(ctx, worker, epoch, PushEntry{
-					RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: local.Snapshot(),
-				}); err != nil {
-					return
-				}
-				if batcher.done(task.RunID, l.ID) {
-					return
-				}
-				local.Reset()
-				continue
-			}
-			pres, err := api.Push(ctx, TaskPushArgs{
-				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: local.Snapshot(),
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				// Either the coordinator definitively rejected the
-				// snapshot or the transport gave up; in both cases this
-				// worker cannot advance the run. Report and abandon —
-				// an unreachable coordinator ignores the report and the
-				// lease times out.
-				_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
-				return
-			}
-			rep.Pushes++
-			if pres.Fenced || pres.Final {
-				return
+			// Buffer the window (Snapshot is a deep copy) and keep
+			// simulating; the batcher decides when the wire sees it. A
+			// flush verdict that ended this lease — fenced, run finished,
+			// entry rejected — abandons the task, as does a failed flush
+			// (which already reported the lease).
+			if err := batcher.add(ctx, worker, epoch, PushEntry{
+				RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: local.Snapshot(),
+			}); err != nil || batcher.done(task.RunID, l.ID) {
+				return false, nil
 			}
 			local.Reset()
 		}
+		// A canceled worker abandons mid-window; nothing partial leaves it.
+		return ctx.Err() == nil, nil
+	})
+	if err != nil {
+		_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
 	}
 }
 
@@ -825,19 +668,7 @@ func resolveTask(task Task, worker int) (core.Realization, error) {
 	if err != nil {
 		return nil, err
 	}
-	return factory(worker)
-}
-
-// callRealization converts a panicking user routine into an error, as
-// the single-run engine does — one bad realization fails its run
-// cleanly instead of taking the whole fleet worker down.
-func callRealization(r core.Realization, stream *rng.Stream, out []float64) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("runmgr: realization panicked: %v", p)
-		}
-	}()
-	return r(stream, out)
+	return factory.Build(worker)
 }
 
 // FleetGroup is a set of running fleet workers.
@@ -866,9 +697,6 @@ func (g *FleetGroup) Wait() ([]FleetWorkerReport, error) {
 // the manager closes.
 func (m *Manager) StartLocalWorkers(ctx context.Context, n int, cfg FleetWorkerConfig) *FleetGroup {
 	g := &FleetGroup{}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 5 * time.Millisecond // in-process polling is cheap
-	}
 	for i := 0; i < n; i++ {
 		g.wg.Add(1)
 		go func() {
@@ -890,7 +718,6 @@ func (m *Manager) StartLocalWorkers(ctx context.Context, n int, cfg FleetWorkerC
 // RunFleetWorker serves the manager at addr over TCP until ctx is
 // canceled or the service stops — the `parmonc worker -service` loop.
 func RunFleetWorker(ctx context.Context, addr string, cfg FleetWorkerConfig) (FleetWorkerReport, error) {
-	cfg = cfg.withDefaults()
 	rc := cluster.NewResilientClient(addr, cfg.Retry)
 	defer rc.Close()
 	rep, err := runFleetLoop(ctx, rpcFleet{rc}, cfg)

@@ -33,10 +33,18 @@ func windowSnap(tb testing.TB, nrow, ncol int, n int64) stat.Snapshot {
 	return acc.Snapshot()
 }
 
-// runFleetCountingRPCs completes one hosted run on a local fleet with
-// the given worker config and returns the coordinator RPCs spent per
-// merged realization.
-func runFleetCountingRPCs(tb testing.TB, workers int, wcfg FleetWorkerConfig) float64 {
+// Shape of the run runFleetCountingRPCs hosts: 8 leases of 20 push
+// windows each.
+const (
+	rpcRunSamples   = 4000
+	rpcRunPassEvery = 25
+	rpcRunWindows   = rpcRunSamples / rpcRunPassEvery
+)
+
+// runFleetCountingRPCs completes one hosted run on a local fleet and
+// returns the coordinator RPCs of every kind (attach, pull, push
+// batches, detach) it took.
+func runFleetCountingRPCs(tb testing.TB, workers int) int64 {
 	tb.Helper()
 	cfg := Config{DataRoot: tb.TempDir(), AverPeriod: 20 * time.Millisecond}
 	m, err := New(cfg)
@@ -46,12 +54,14 @@ func runFleetCountingRPCs(tb testing.TB, workers int, wcfg FleetWorkerConfig) fl
 	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := m.StartLocalWorkers(ctx, workers, wcfg)
-	const maxsv = 4000
+	g := m.StartLocalWorkers(ctx, workers, FleetWorkerConfig{
+		PullWait:      time.Second,
+		FlushInterval: 10 * time.Millisecond,
+	})
 	st, err := m.Submit(Submission{
 		Scenario:   workload.Spec{Workload: "pi"},
-		MaxSamples: maxsv,
-		PassEvery:  25,
+		MaxSamples: rpcRunSamples,
+		PassEvery:  rpcRunPassEvery,
 		LeaseSize:  500,
 	})
 	if err != nil {
@@ -79,36 +89,19 @@ func runFleetCountingRPCs(tb testing.TB, workers int, wcfg FleetWorkerConfig) fl
 	if _, err := g.Wait(); err != nil {
 		tb.Fatal(err)
 	}
-	return float64(calls) / float64(maxsv)
+	return calls
 }
 
-// legacyWorkerConfig reproduces the pre-batching protocol: immediate
-// pulls, one Push RPC per completed window.
-func legacyWorkerConfig() FleetWorkerConfig {
-	return FleetWorkerConfig{
-		Poll:          time.Millisecond,
-		PullWait:      -1, // no long-poll: poll-loop fallback
-		FlushInterval: -1, // no coalescing: one RPC per window
-	}
-}
-
-func batchedWorkerConfig() FleetWorkerConfig {
-	return FleetWorkerConfig{
-		PullWait:      time.Second,
-		FlushInterval: 10 * time.Millisecond,
-	}
-}
-
-// TestFleetRPCReduction pins the tentpole's acceptance bound: the
-// batched + long-polled protocol spends at least 2× fewer coordinator
-// RPCs per merged realization than the legacy per-window protocol on
-// the same run.
+// TestFleetRPCReduction pins the wire-efficiency bound of the batched,
+// long-polled protocol against the run's own shape: a protocol that
+// spent one RPC per push window would need at least rpcRunWindows
+// calls, and the whole run — pulls and attach/detach included — must
+// take at most half that.
 func TestFleetRPCReduction(t *testing.T) {
-	legacy := runFleetCountingRPCs(t, 4, legacyWorkerConfig())
-	batched := runFleetCountingRPCs(t, 4, batchedWorkerConfig())
-	t.Logf("rpcs/realization: legacy %.4f, batched %.4f (%.1fx)", legacy, batched, legacy/batched)
-	if batched*2 > legacy {
-		t.Fatalf("batched protocol spends %.4f RPCs/realization, legacy %.4f — want ≥2x reduction", batched, legacy)
+	rpcs := runFleetCountingRPCs(t, 4)
+	t.Logf("%d coordinator RPCs for %d push windows (%.1f windows/RPC)", rpcs, rpcRunWindows, float64(rpcRunWindows)/float64(rpcs))
+	if rpcs > rpcRunWindows/2 {
+		t.Fatalf("run of %d push windows took %d coordinator RPCs, want at most %d", rpcRunWindows, rpcs, rpcRunWindows/2)
 	}
 }
 
@@ -147,7 +140,7 @@ func TestLongPollWakeOnSubmit(t *testing.T) {
 	}
 	parked := make(chan PullReply, 1)
 	go func() {
-		pr, _ := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Wait: 10 * time.Second})
+		pr, _ := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch, Wait: 10 * time.Second})
 		parked <- pr
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -185,7 +178,7 @@ func TestPushBatchOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker})
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
 	if err != nil || !pr.Granted {
 		t.Fatalf("pull: %+v, %v", pr, err)
 	}
@@ -197,7 +190,7 @@ func TestPushBatchOrdering(t *testing.T) {
 			RunID: task.RunID, LeaseID: task.Lease.ID, Done: i * task.PassEvery, Snap: snap,
 		})
 	}
-	rep, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: entries})
+	rep, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: entries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +208,7 @@ func TestPushBatchOrdering(t *testing.T) {
 	}
 	// A replayed (duplicate) batch must dedup to nothing: same absolute
 	// substream positions, already merged.
-	rep, err = m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: entries})
+	rep, err = m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: entries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +246,7 @@ func TestPushBatchBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker})
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
 	if err != nil || !pr.Granted {
 		t.Fatalf("pull: %+v, %v", pr, err)
 	}
@@ -261,7 +254,7 @@ func TestPushBatchBackpressure(t *testing.T) {
 	snap := windowSnap(t, task.Nrow, task.Ncol, task.PassEvery)
 	var rep PushBatchReply
 	for i := int64(1); i <= 3; i++ {
-		rep, err = m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: []PushEntry{{
+		rep, err = m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: []PushEntry{{
 			RunID: task.RunID, LeaseID: task.Lease.ID, Done: i * task.PassEvery, Snap: snap,
 		}}})
 		if err != nil {
@@ -383,25 +376,15 @@ func TestRunsAPIMethodDispatch(t *testing.T) {
 }
 
 // BenchmarkFleetRPCPerRealization measures coordinator RPCs per merged
-// realization for the legacy per-window protocol and the batched +
-// long-polled one — the tentpole's headline number, reported as
-// rpcs/real alongside the usual ns/op.
+// realization of one hosted run, reported as rpcs/real alongside the
+// usual ns/op, plus the push windows each RPC carried on average.
 func BenchmarkFleetRPCPerRealization(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		cfg  FleetWorkerConfig
-	}{
-		{"legacy", legacyWorkerConfig()},
-		{"batched", batchedWorkerConfig()},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total += runFleetCountingRPCs(b, 4, tc.cfg)
-			}
-			b.ReportMetric(total/float64(b.N), "rpcs/real")
-		})
+	var total int64
+	for i := 0; i < b.N; i++ {
+		total += runFleetCountingRPCs(b, 4)
 	}
+	b.ReportMetric(float64(total)/float64(b.N)/rpcRunSamples, "rpcs/real")
+	b.ReportMetric(float64(rpcRunWindows)*float64(b.N)/float64(total), "windows/rpc")
 }
 
 // BenchmarkPushBatch drives the coordinator's batch-merge entry point
@@ -434,7 +417,7 @@ func BenchmarkPushBatch(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker})
+		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
 		if err != nil || !pr.Granted {
 			b.Fatalf("pull: %+v, %v", pr, err)
 		}
@@ -451,7 +434,7 @@ func BenchmarkPushBatch(b *testing.B) {
 		done += passEvery
 		entries[k] = PushEntry{RunID: task.RunID, LeaseID: task.Lease.ID, Done: done, Snap: snap}
 	}
-	if _, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: entries}); err != nil {
+	if _, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: entries}); err != nil {
 		b.Fatal(err)
 	}
 	batchesLeft--
@@ -467,7 +450,7 @@ func BenchmarkPushBatch(b *testing.B) {
 			done += passEvery
 			entries[k] = PushEntry{RunID: task.RunID, LeaseID: task.Lease.ID, Done: done, Snap: snap}
 		}
-		rep, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: entries})
+		rep, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: entries})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,10 +118,7 @@ type Config struct {
 	// PullWait caps how long an ungranted fleet Pull may be held open
 	// server-side waiting for work (long-poll). Each pull carries the
 	// worker's own ask (PullArgs.Wait) and the effective hold is the
-	// smaller of the two; a pull asking for zero gets the legacy
-	// immediate answer. Zero selects 30s; negative disables long-poll
-	// entirely — every pull answers immediately and workers fall back
-	// to jittered polling.
+	// smaller of the two. Zero selects 30s; negative is an error.
 	PullWait time.Duration
 
 	// Params are the parallel RNG leap exponents shared by every run;
@@ -173,6 +170,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.PullWait == 0 {
 		cfg.PullWait = 30 * time.Second
+	}
+	if cfg.PullWait < 0 {
+		return cfg, fmt.Errorf("runmgr: negative Config.PullWait %v", cfg.PullWait)
 	}
 	if cfg.Params == (rng.Params{}) {
 		cfg.Params = rng.DefaultParams()
@@ -810,13 +810,7 @@ func (m *Manager) pullTask(ctx context.Context, a PullArgs) (PullReply, error) {
 	m.pullCalls.Add(1)
 	m.pullBusy.Add(1)
 	defer m.pullBusy.Add(-1)
-	wait := a.Wait
-	if wait > m.cfg.PullWait {
-		wait = m.cfg.PullWait
-	}
-	if wait < 0 || m.cfg.PullWait < 0 {
-		wait = 0
-	}
+	wait := min(a.Wait, m.cfg.PullWait)
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -828,7 +822,6 @@ func (m *Manager) pullTask(ctx context.Context, a PullArgs) (PullReply, error) {
 		reply, err, decided := m.tryPullLocked(a)
 		if decided || wait <= 0 {
 			m.mu.Unlock()
-			reply.Waited = wait > 0
 			return reply, err
 		}
 		// Nothing grantable: park on the wake channel captured under the
@@ -845,10 +838,10 @@ func (m *Manager) pullTask(ctx context.Context, a PullArgs) (PullReply, error) {
 			m.parked.Add(-1)
 		case <-timer.C:
 			m.parked.Add(-1)
-			return PullReply{Waited: true}, nil
+			return PullReply{}, nil
 		case <-ctx.Done():
 			m.parked.Add(-1)
-			return PullReply{Waited: true}, nil
+			return PullReply{}, nil
 		}
 	}
 }
@@ -864,21 +857,14 @@ func (m *Manager) tryPullLocked(a PullArgs) (PullReply, error, bool) {
 	if m.closed || m.draining {
 		return PullReply{Stop: true}, nil, true
 	}
-	if a.Epoch != 0 && a.Epoch != m.epoch {
-		// A worker attached to a previous incarnation: tell it to
-		// re-attach rather than erroring — it keeps its realizer cache
-		// and rejoins the fleet under the current epoch.
+	if a.Epoch != m.epoch || m.workers[a.Worker] == nil {
+		// A worker attached to a previous incarnation (or, with the
+		// right epoch but an unknown index, one that detached or missed
+		// two restarts between polls): tell it to re-attach rather than
+		// erroring — it keeps its realizer cache and rejoins the fleet
+		// under the current epoch.
 		m.staleLocked("pull", a.Epoch)
 		return PullReply{Reattach: true}, nil, true
-	}
-	if m.workers[a.Worker] == nil {
-		if a.Epoch != 0 {
-			// Correct epoch but unknown index can still happen when the
-			// service restarted twice between two polls; re-attach.
-			m.staleLocked("pull", a.Epoch)
-			return PullReply{Reattach: true}, nil, true
-		}
-		return PullReply{}, fmt.Errorf("runmgr: pull from unattached worker %d", a.Worker), true
 	}
 	var best *run
 	for _, r := range m.order {
@@ -944,20 +930,13 @@ func (m *Manager) tryPullLocked(a PullArgs) (PullReply, error, bool) {
 	}}, nil, true
 }
 
-// pushTask merges one subtotal push from the fleet — the unbatched
-// protocol, one RPC per window.
-func (m *Manager) pushTask(a TaskPushArgs) (TaskPushReply, error) {
-	m.fleetCalls.Add(1)
-	return m.pushOne(a)
-}
-
 // pushBatch fans one worker's coalesced push windows out to the
 // per-run collectors. Entries are applied sequentially in wire order:
 // the worker appended each lease's windows in completion order, so
 // every per-lease done ledger sees the same strictly-increasing
-// sequence it would from unbatched pushes, each entry dedups on the
-// same absolute substream position, and the merged bytes — and so the
-// report — are bit-identical. Each entry gets its own verdict; an
+// sequence whatever the batch shape, each entry dedups on its absolute
+// substream position, and the merged bytes — and so the report — are
+// bit-identical. Each entry gets its own verdict; an
 // application-level rejection rides in Err so one bad entry cannot
 // take down the rest of the batch.
 func (m *Manager) pushBatch(a PushBatchArgs) (PushBatchReply, error) {
@@ -969,15 +948,11 @@ func (m *Manager) pushBatch(a PushBatchArgs) (PushBatchReply, error) {
 	runIDs := make(map[string]struct{}, 1)
 	for i, e := range a.Entries {
 		runIDs[e.RunID] = struct{}{}
-		one, err := m.pushOne(TaskPushArgs{
-			Worker: a.Worker, Epoch: a.Epoch,
-			RunID: e.RunID, LeaseID: e.LeaseID, Done: e.Done, Snap: e.Snap,
-		})
+		one, err := m.pushOne(a.Epoch, e)
 		if err != nil {
-			rep.Entries[i] = PushEntryReply{Err: err.Error()}
-			continue
+			one = PushEntryReply{Err: err.Error()}
 		}
-		rep.Entries[i] = PushEntryReply{Fenced: one.Fenced, Final: one.Final}
+		rep.Entries[i] = one
 	}
 	rep.RetryAfter = m.retryAfter(runIDs)
 	return rep, nil
@@ -1018,34 +993,34 @@ func (m *Manager) retryAfter(runIDs map[string]struct{}) time.Duration {
 // manager lock — pushes for different runs (and different procs of one
 // run) proceed concurrently, exactly as the sharded collector is
 // designed to be fed.
-func (m *Manager) pushOne(a TaskPushArgs) (TaskPushReply, error) {
+func (m *Manager) pushOne(epoch uint64, a PushEntry) (PushEntryReply, error) {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	m.mu.Lock()
-	if a.Epoch != 0 && a.Epoch != m.epoch {
+	if epoch != m.epoch {
 		// A zombie push: the grant was minted by a previous incarnation
 		// and its lease ledger was restored revoked. Fencing here (and
 		// in the ledger itself, belt and braces) is what makes a restart
 		// unable to double-merge a window.
-		m.staleLocked("push", a.Epoch)
+		m.staleLocked("push", epoch)
 		m.mu.Unlock()
-		return TaskPushReply{Fenced: true}, nil
+		return PushEntryReply{Fenced: true}, nil
 	}
 	r := m.runs[a.RunID]
 	if r == nil {
 		m.mu.Unlock()
-		return TaskPushReply{Final: true}, nil
+		return PushEntryReply{Final: true}, nil
 	}
 	if r.state.Terminal() {
 		m.mu.Unlock()
-		return TaskPushReply{Final: true}, nil
+		return PushEntryReply{Final: true}, nil
 	}
 	gl, known := r.granted[a.LeaseID]
 	if !known || a.Done <= 0 || a.Done > gl.Count {
 		// A grant this manager never made (or an impossible claim):
 		// fence the sender so it abandons the task.
 		m.mu.Unlock()
-		return TaskPushReply{Fenced: true}, nil
+		return PushEntryReply{Fenced: true}, nil
 	}
 	eng := r.eng
 	origin := collect.PushOrigin{
@@ -1061,16 +1036,16 @@ func (m *Manager) pushOne(a TaskPushArgs) (TaskPushReply, error) {
 
 	err := eng.PushFrom(origin, a.Snap)
 	if errors.Is(err, collect.ErrFenced) {
-		return TaskPushReply{Fenced: true}, nil
+		return PushEntryReply{Fenced: true}, nil
 	}
 	if err != nil {
-		return TaskPushReply{}, err
+		return PushEntryReply{}, err
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r.state.Terminal() {
-		return TaskPushReply{Final: true}, nil
+		return PushEntryReply{Final: true}, nil
 	}
 	if g := r.outstanding[a.LeaseID]; g != nil {
 		g.lastActive = m.mono()
@@ -1081,9 +1056,9 @@ func (m *Manager) pushOne(a TaskPushArgs) (TaskPushReply, error) {
 	}
 	if eng.TargetReached() || eng.EvalStop() {
 		m.finishRunLocked(r, StateDone, "")
-		return TaskPushReply{Final: true}, nil
+		return PushEntryReply{Final: true}, nil
 	}
-	return TaskPushReply{}, nil
+	return PushEntryReply{}, nil
 }
 
 // nackTask handles a worker that cannot serve a run's scenario (not
@@ -1094,7 +1069,7 @@ func (m *Manager) nackTask(a NackArgs) error {
 	m.fleetCalls.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.Epoch != 0 && a.Epoch != m.epoch {
+	if a.Epoch != m.epoch {
 		m.staleLocked("nack", a.Epoch)
 		return nil
 	}
@@ -1118,7 +1093,7 @@ func (m *Manager) failTask(a FailArgs) error {
 	m.fleetCalls.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.Epoch != 0 && a.Epoch != m.epoch {
+	if a.Epoch != m.epoch {
 		// The failure happened against a previous incarnation (e.g. its
 		// push path died with the service). The restarted run recomputes
 		// that window; failing it now would kill a healthy recovery.
@@ -1286,7 +1261,7 @@ func (m *Manager) detach(a DetachArgs) error {
 	m.fleetCalls.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if a.Epoch != 0 && a.Epoch != m.epoch {
+	if a.Epoch != m.epoch {
 		// The worker index belongs to a previous incarnation — possibly
 		// to a different worker now. Ignore rather than detach a stranger.
 		m.staleLocked("detach", a.Epoch)

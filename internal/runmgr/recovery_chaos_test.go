@@ -93,7 +93,6 @@ func TestKillRestartChaos(t *testing.T) {
 					// but possibly racing calls from its predecessor.
 					for ctx.Err() == nil {
 						wcfg := FleetWorkerConfig{
-							Poll: 5 * time.Millisecond,
 							Retry: cluster.RetryPolicy{
 								MaxAttempts: 8,
 								BaseDelay:   2 * time.Millisecond,

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"parmonc/internal/cluster"
+	"parmonc/internal/core"
+	"parmonc/internal/rng"
 	"parmonc/internal/workload"
 	_ "parmonc/internal/workload/builtin"
 )
@@ -189,7 +192,7 @@ func TestFairSharePull(t *testing.T) {
 	}
 	var got []string
 	for i := 0; i < 4; i++ {
-		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker})
+		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,20 +220,20 @@ func TestProtocolNack(t *testing.T) {
 	w1, _ := m.attach(AttachArgs{Hostname: "w1"})
 	w2, _ := m.attach(AttachArgs{Hostname: "w2"})
 
-	pr, err := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker})
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker, Epoch: w1.Epoch})
 	if err != nil || !pr.Granted {
 		t.Fatalf("pull: granted=%v err=%v", pr.Granted, err)
 	}
 	first := pr.Task.Lease
-	if err := m.nackTask(NackArgs{Worker: w1.Worker, RunID: st.ID, LeaseID: first.ID, Reason: "not linked here"}); err != nil {
+	if err := m.nackTask(NackArgs{Worker: w1.Worker, Epoch: w1.Epoch, RunID: st.ID, LeaseID: first.ID, Reason: "not linked here"}); err != nil {
 		t.Fatal(err)
 	}
 	// The nacking worker never sees this run again.
-	if pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker}); pr.Granted {
+	if pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker, Epoch: w1.Epoch}); pr.Granted {
 		t.Fatalf("nacking worker was granted %s again", pr.Task.RunID)
 	}
 	// Another worker gets the same window back under a fresh grant ID.
-	pr2, err := m.pullTask(context.Background(), PullArgs{Worker: w2.Worker})
+	pr2, err := m.pullTask(context.Background(), PullArgs{Worker: w2.Worker, Epoch: w2.Epoch})
 	if err != nil || !pr2.Granted {
 		t.Fatalf("pull from w2: granted=%v err=%v", pr2.Granted, err)
 	}
@@ -256,11 +259,11 @@ func TestProtocolFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := m.attach(AttachArgs{Hostname: "w"})
-	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w.Worker})
+	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w.Worker, Epoch: w.Epoch})
 	if !pr.Granted {
 		t.Fatal("no grant")
 	}
-	if err := m.failTask(FailArgs{Worker: w.Worker, RunID: st.ID, LeaseID: pr.Task.Lease.ID, Reason: "boom"}); err != nil {
+	if err := m.failTask(FailArgs{Worker: w.Worker, Epoch: w.Epoch, RunID: st.ID, LeaseID: pr.Task.Lease.ID, Reason: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	rs, _ := m.Run(st.ID)
@@ -384,7 +387,7 @@ func TestLeaseTimeoutReissue(t *testing.T) {
 	}
 	// A zombie worker takes a lease and never comes back.
 	zw, _ := m.attach(AttachArgs{Hostname: "zombie"})
-	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: zw.Worker})
+	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: zw.Worker, Epoch: zw.Epoch})
 	if !pr.Granted {
 		t.Fatal("zombie got no grant")
 	}
@@ -398,5 +401,198 @@ func TestLeaseTimeoutReissue(t *testing.T) {
 	}
 	if final.Leases.Reissued == 0 {
 		t.Fatal("no lease was reissued despite the zombie")
+	}
+}
+
+// TestNegativeDurationsRejected: the negative durations that used to
+// select the polling and per-window modes are configuration errors
+// naming the field.
+func TestNegativeDurationsRejected(t *testing.T) {
+	if _, err := New(Config{DataRoot: t.TempDir(), PullWait: -time.Second}); err == nil ||
+		!strings.Contains(err.Error(), "Config.PullWait") {
+		t.Errorf("New with negative PullWait: err = %v, want mention of Config.PullWait", err)
+	}
+	m := newManager(t, testConfig(t))
+	cases := []struct {
+		name string
+		cfg  FleetWorkerConfig
+		frag string
+	}{
+		{"pull wait", FleetWorkerConfig{PullWait: -1}, "FleetWorkerConfig.PullWait"},
+		{"flush interval", FleetWorkerConfig{FlushInterval: -time.Millisecond}, "FleetWorkerConfig.FlushInterval"},
+	}
+	for _, tc := range cases {
+		if _, err := m.StartLocalWorkers(context.Background(), 1, tc.cfg).Wait(); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("local worker, %s: err = %v, want mention of %q", tc.name, err, tc.frag)
+		}
+		// The TCP entry point must refuse before it dials anything.
+		if _, err := RunFleetWorker(context.Background(), "127.0.0.1:1", tc.cfg); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("TCP worker, %s: err = %v, want mention of %q", tc.name, err, tc.frag)
+		}
+	}
+	if got := m.fleetCalls.Load(); got != 0 {
+		t.Errorf("misconfigured workers made %d fleet calls, want 0", got)
+	}
+}
+
+// TestUnfencedCallerFenced: there is no epoch-less opt-out of service
+// fencing. A call that does not echo the epoch Attach returned is
+// treated as any other stale caller — redirected to re-attach, fenced,
+// or ignored — and changes nothing.
+func TestUnfencedCallerFenced(t *testing.T) {
+	m := newManager(t, testConfig(t))
+	st, err := m.Submit(piSubmission(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := m.attach(AttachArgs{Hostname: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker}); err != nil || !pr.Reattach || pr.Granted {
+		t.Fatalf("epoch-less pull: %+v, %v; want a re-attach redirect", pr, err)
+	}
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
+	if err != nil || !pr.Granted {
+		t.Fatalf("fenced pull: %+v, %v", pr, err)
+	}
+	task := pr.Task
+	entry := PushEntry{RunID: task.RunID, LeaseID: task.Lease.ID, Done: task.PassEvery,
+		Snap: windowSnap(t, task.Nrow, task.Ncol, task.PassEvery)}
+	rep, err := m.pushBatch(PushBatchArgs{Worker: at.Worker, Entries: []PushEntry{entry}})
+	if err != nil || !rep.Entries[0].Fenced {
+		t.Fatalf("epoch-less push: %+v, %v; want fenced", rep, err)
+	}
+	if err := m.nackTask(NackArgs{Worker: at.Worker, RunID: st.ID, LeaseID: task.Lease.ID, Reason: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.failTask(FailArgs{Worker: at.Worker, RunID: st.ID, LeaseID: task.Lease.ID, Reason: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.detach(DetachArgs{Worker: at.Worker}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.Run(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.State != StateRunning || rs.N != 0 || rs.Leases.Outstanding != 1 || rs.Leases.Nacks != 0 || rs.Leases.Reissued != 0 {
+		t.Fatalf("epoch-less calls changed the run: %+v", rs)
+	}
+	// The same push under the attach epoch lands.
+	rep, err = m.pushBatch(PushBatchArgs{Worker: at.Worker, Epoch: at.Epoch, Entries: []PushEntry{entry}})
+	if err != nil || rep.Entries[0].Fenced || rep.Entries[0].Err != "" {
+		t.Fatalf("fenced push: %+v, %v", rep, err)
+	}
+	if rs, _ := m.Run(st.ID); rs.N != task.PassEvery {
+		t.Fatalf("N = %d after the fenced push, want %d", rs.N, task.PassEvery)
+	}
+}
+
+func init() {
+	// A workload whose routine panics, for TestFleetRealizationPanic.
+	workload.Register(workload.Definition{
+		Name:        "panicroutine",
+		Description: "test workload whose realization panics",
+		Schema:      workload.Schema{Version: 1},
+		Dims:        func(workload.Values) (int, int) { return 1, 1 },
+		Factory: func(workload.Values) (core.Factory, error) {
+			return func(int) (core.Realization, error) {
+				return func(*rng.Stream, []float64) error { panic("user bug") }, nil
+			}, nil
+		},
+	})
+	// A workload whose factory hands back no routine, for
+	// TestNilRealizationRejected.
+	workload.Register(workload.Definition{
+		Name:        "nilroutine",
+		Description: "test workload whose factory returns (nil, nil)",
+		Schema:      workload.Schema{Version: 1},
+		Dims:        func(workload.Values) (int, int) { return 1, 1 },
+		Factory: func(workload.Values) (core.Factory, error) {
+			return nilFactory, nil
+		},
+	})
+}
+
+func nilFactory(int) (core.Realization, error) { return nil, nil }
+
+// TestFleetRealizationPanic: a panicking realization fails its run with
+// the panic in the error — through the shared core.RunLease wrapper —
+// and leaves the fleet worker alive to serve the next run.
+func TestFleetRealizationPanic(t *testing.T) {
+	m := newManager(t, testConfig(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := m.StartLocalWorkers(ctx, 1, FleetWorkerConfig{})
+	st, err := m.Submit(Submission{Scenario: workload.Spec{Workload: "panicroutine"}, MaxSamples: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, m, st.ID, StateFailed, 10*time.Second)
+	if !strings.Contains(final.Error, "realization panicked: user bug") {
+		t.Fatalf("run error %q does not carry the panic", final.Error)
+	}
+	next, err := m.Submit(piSubmission(1000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, next.ID, StateDone, 10*time.Second)
+	cancel()
+	if _, err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNilRealizationRejected: a factory that returns (nil, nil) is
+// refused with the same message on all three transports, before any
+// realization is attempted — none of them may dereference the nil
+// routine.
+func TestNilRealizationRejected(t *testing.T) {
+	const want = "factory returned nil realization for worker"
+	transports := []struct {
+		name string
+		run  func(t *testing.T) error
+	}{
+		{"core", func(t *testing.T) error {
+			_, err := core.RunFactory(context.Background(), core.Config{
+				Nrow: 1, Ncol: 1, MaxSamples: 10, Workers: 2, WorkDir: t.TempDir(),
+			}, nilFactory)
+			return err
+		}},
+		{"cluster", func(t *testing.T) error {
+			coord, err := cluster.NewCoordinator(cluster.JobSpec{
+				Nrow: 1, Ncol: 1, MaxSamples: 10, Params: rng.DefaultParams(), Gamma: 3, PassEvery: 5,
+			}, cluster.CoordinatorConfig{WorkDir: t.TempDir()}, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			_, err = cluster.RunWorker(context.Background(), coord.Addr(), cluster.WorkerConfig{}, nilFactory)
+			return err
+		}},
+		{"runmgr", func(t *testing.T) error {
+			m := newManager(t, testConfig(t))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			g := m.StartLocalWorkers(ctx, 1, FleetWorkerConfig{})
+			st, err := m.Submit(Submission{Scenario: workload.Spec{Workload: "nilroutine"}, MaxSamples: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, m, st.ID, StateFailed, 10*time.Second)
+			cancel()
+			if _, err := g.Wait(); err != nil {
+				t.Fatalf("fleet worker died instead of nacking: %v", err)
+			}
+			return errors.New(final.Error)
+		}},
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			if err := tr.run(t); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want mention of %q", err, want)
+			}
+		})
 	}
 }

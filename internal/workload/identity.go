@@ -18,7 +18,8 @@ import (
 // parallel-vs-serial divergence Lubachevsky warns about
 // (arXiv:1104.0198).
 //
-// The zero Identity means "unnamed": no check is performed against it.
+// The zero Identity means "unnamed" — a user-supplied factory the
+// registry knows nothing about: no check is performed against it.
 type Identity struct {
 	Name          string             `json:"name"`
 	SchemaVersion int                `json:"schema_version"`
@@ -30,10 +31,6 @@ type Identity struct {
 	// equality check on the wire.
 	Digest string `json:"digest"`
 }
-
-// Named returns a name-only identity — the legacy check level, where
-// only the workload name is compared at registration.
-func Named(name string) Identity { return Identity{Name: name} }
 
 // Identity computes the canonical identity of the definition at the
 // given resolved values (which must satisfy the schema).
@@ -73,13 +70,9 @@ func (id Identity) IsZero() bool { return id.Name == "" }
 
 // Fingerprint is the short human-facing form of the identity —
 // "name@v1/0123456789ab" — used as the journal field and metrics label.
-// A name-only identity has no digest and prints as just the name.
 func (id Identity) Fingerprint() string {
 	if id.IsZero() {
 		return ""
-	}
-	if id.Digest == "" {
-		return id.Name
 	}
 	short := id.Digest
 	if len(short) > 12 {
@@ -92,17 +85,14 @@ func (id Identity) Fingerprint() string {
 // receiver), returning nil when the worker may join and a precise,
 // operator-facing error otherwise: the error names the first field that
 // differs and both sides' values, so a rejected registration says
-// exactly which side to fix. When either side carries only a name (no
-// digest), the comparison stops at the name — the legacy check level.
+// exactly which side to fix. An unnamed (zero) identity on either side
+// skips the check.
 func (job Identity) CheckWorker(w Identity) error {
 	if job.IsZero() || w.IsZero() {
 		return nil
 	}
 	if w.Name != job.Name {
 		return fmt.Errorf("worker runs workload %q but the job is %q", w.Name, job.Name)
-	}
-	if job.Digest == "" || w.Digest == "" {
-		return nil // one side is name-only: nothing deeper to compare
 	}
 	if w.SchemaVersion != job.SchemaVersion {
 		return fmt.Errorf("workload %q: worker uses parameter schema v%d but the job uses v%d",

@@ -124,9 +124,10 @@ func TestCheckWorkerMessages(t *testing.T) {
 		want   string // exact text, "" = accepted
 	}{
 		{"zero worker", Identity{}, ""},
-		{"name-only worker", Named("unit"), ""},
+		{"name without a fingerprint", Identity{Name: "unit"},
+			`workload "unit": worker uses parameter schema v0 but the job uses v1`},
 		{"identical", job, ""},
-		{"wrong name", Named("other"), `worker runs workload "other" but the job is "unit"`},
+		{"wrong name", mutate(func(id *Identity) { id.Name = "other" }), `worker runs workload "other" but the job is "unit"`},
 		{"schema version", mutate(func(id *Identity) { id.SchemaVersion = 9 }),
 			`workload "unit": worker uses parameter schema v9 but the job uses v1`},
 		{"dims", mutate(func(id *Identity) { id.Nrow = 7 }),

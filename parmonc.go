@@ -191,11 +191,23 @@ func NewCoordinator(spec JobSpec, cfg CoordinatorConfig, addr string) (*Coordina
 	return cluster.NewCoordinator(spec, cfg, addr)
 }
 
+// WorkerConfig tunes RunWorker: the workload identity the coordinator
+// checks at registration, the retry policy, and observability hooks.
+// The zero value is a valid configuration.
+type WorkerConfig = cluster.WorkerConfig
+
+// RetryPolicy governs how a worker survives transport faults (attempt
+// budget, backoff, timeouts). A worker started before its coordinator
+// joins once the listener is up; RetryPolicy{Multiplier: 1} retries at a
+// constant delay.
+type RetryPolicy = cluster.RetryPolicy
+
 // RunWorker connects to the coordinator at addr and simulates
 // realizations with the factory-produced routine until the job
 // completes or ctx is cancelled.
-func RunWorker(ctx context.Context, addr string, factory Factory) error {
-	return cluster.RunWorker(ctx, addr, factory)
+func RunWorker(ctx context.Context, addr string, cfg WorkerConfig, factory Factory) error {
+	_, err := cluster.RunWorker(ctx, addr, cfg, factory)
+	return err
 }
 
 // ExperimentsResult bundles the independent per-experiment reports and
@@ -209,15 +221,6 @@ type ExperimentsResult = core.ExperimentsResult
 // validating a stochastic computation.
 func RunExperiments(ctx context.Context, cfg Config, seqnums []uint64, f Factory) (ExperimentsResult, error) {
 	return core.RunExperiments(ctx, cfg, seqnums, f)
-}
-
-// WorkerOptions tunes RunWorkerOpts connection behaviour (retry count,
-// delays), making worker/coordinator start order irrelevant.
-type WorkerOptions = cluster.WorkerOptions
-
-// RunWorkerOpts is RunWorker with explicit connection options.
-func RunWorkerOpts(ctx context.Context, addr string, factory Factory, opts WorkerOptions) error {
-	return cluster.RunWorkerOpts(ctx, addr, factory, opts)
 }
 
 // StableAccumulator is the numerically robust (Welford/Chan) moment
