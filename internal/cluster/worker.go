@@ -233,12 +233,12 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig, factory core.
 
 	// push sends the current subtotal under the next sequence number,
 	// stamped with the session epoch and the lease progress it
-	// advances. The snapshot is captured once; retries inside Call
-	// redeliver the identical payload, which the coordinator
-	// deduplicates by seq.
+	// advances. The payload is a view lent to the synchronous Call (see
+	// stat.Snapshot); retries inside Call re-encode the identical
+	// payload, which the coordinator deduplicates by seq.
 	push := func(ctx context.Context, leaseID uint64, done int64) (stop, fenced bool, err error) {
 		seq++
-		args := PushArgs{Worker: w, Epoch: getEpoch(), Seq: seq, Lease: leaseID, Done: done, Snap: local.Snapshot()}
+		args := PushArgs{Worker: w, Epoch: getEpoch(), Seq: seq, Lease: leaseID, Done: done, Snap: local.View()}
 		var pr PushReply
 		t0 := time.Now()
 		if err := rc.Call(ctx, ServiceName+".Push", args, &pr); err != nil {

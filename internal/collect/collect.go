@@ -705,6 +705,9 @@ func (c *Collector) LeaseProgress(id uint64) (done, count int64, ok bool) {
 // totals. Push also handles per-worker snapshot persistence and
 // periodic averaging + save; a save failure is returned (and remembered
 // for Finalize).
+//
+// snap is borrowed, see stat.Snapshot: the collector reads it before
+// returning, never writes to it and retains nothing, on every outcome.
 func (c *Collector) Push(w int, snap stat.Snapshot) error {
 	return c.PushFrom(PushOrigin{Worker: w}, snap)
 }
@@ -742,6 +745,7 @@ type PushOrigin struct {
 // The push only takes the sender's shard lock, so pushes from different
 // workers run concurrently; the snapshot merges into the worker's
 // staging accumulator and reaches the global report at the next fold.
+// snap is borrowed, see stat.Snapshot.
 func (c *Collector) PushFrom(o PushOrigin, snap stat.Snapshot) error {
 	w := o.Worker
 	c.metrics.pushes.Add(1)
@@ -775,6 +779,7 @@ func (c *Collector) PushFrom(o PushOrigin, snap stat.Snapshot) error {
 // it never takes c.mu or saveMu (the lease holder was resolved under
 // c.mu before the shard lock, and a due periodic save is signalled to
 // the caller to run after the shard unlocks).
+// snap is borrowed, see stat.Snapshot.
 func (c *Collector) pushShard(sh *shard, o PushOrigin, snap stat.Snapshot, leaseHolder int, leaseKnown bool) (saveDue bool, err error) {
 	w := o.Worker
 	c.event(Event{Kind: EventPush, Worker: w, Samples: snap.N})
@@ -853,7 +858,8 @@ func (c *Collector) pushShard(sh *shard, o PushOrigin, snap stat.Snapshot, lease
 			return false, err
 		}
 		if c.dir != nil {
-			if err := c.dir.SaveWorkerSnapshot(w, sh.wacc.Snapshot(), c.stampedMeta()); err != nil {
+			// sh.mu keeps wacc still for the synchronous write.
+			if err := c.dir.SaveWorkerSnapshot(w, sh.wacc.View(), c.stampedMeta()); err != nil {
 				return false, err
 			}
 		}

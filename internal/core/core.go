@@ -488,6 +488,8 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 	local := stat.New(cfg.Nrow, cfg.Ncol)
 	lastPass := time.Now()
 
+	// push lends the collector a view of the live subtotal (see
+	// stat.Snapshot); local is untouched until Push returns.
 	push := func() error {
 		if local.N() == 0 {
 			return nil
@@ -496,7 +498,7 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		if ro != nil {
 			t0 = time.Now()
 		}
-		perr := eng.Push(m, local.Snapshot())
+		perr := eng.Push(m, local.View())
 		if ro != nil {
 			ro.pushSec.Observe(time.Since(t0).Seconds())
 		}

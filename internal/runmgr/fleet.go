@@ -87,7 +87,8 @@ type Task struct {
 
 // PushEntry is one completed push window inside a PushBatch: a subtotal
 // snapshot and the lease it advances. Done is cumulative within the
-// granted lease window.
+// granted lease window. Snap is a deep copy the batcher owns until the
+// batch's verdict is back; the coordinator borrows it (see stat.Snapshot).
 type PushEntry struct {
 	RunID   string
 	LeaseID uint64

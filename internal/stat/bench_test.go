@@ -1,6 +1,9 @@
 package stat
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Micro-benchmarks for the two functions on the collector's push hot
 // path: every push validates its snapshot once and then folds it into a
@@ -39,6 +42,31 @@ func BenchmarkAccumulatorMergeTrusted(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := a.MergeTrusted(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The two ways a worker can hand its subtotal to the collector, at the
+// shapes of the ledger's strict workloads (pi is 1×1, density.strict is
+// 1×2000). View is what the exchange pushes: no allocation and no copy
+// at either width. Snapshot is what checkpoints and recovery images
+// take: two allocations and a copy that grow with the matrix.
+
+var benchSink Snapshot
+
+func BenchmarkAccumulatorHandOff(b *testing.B) {
+	for _, ncol := range []int{1, 2000} {
+		a := New(1, ncol)
+		for _, how := range []struct {
+			name string
+			take func() Snapshot
+		}{{"View", a.View}, {"Snapshot", a.Snapshot}} {
+			b.Run(fmt.Sprintf("%s/1x%d", how.name, ncol), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = how.take()
+				}
+			})
 		}
 	}
 }

@@ -110,6 +110,17 @@ func (a *Accumulator) Reset() {
 // Snapshot is the serializable state of an accumulator: the subtotal
 // moments a worker pushes to the collector, and the on-disk checkpoint
 // format's payload.
+//
+// Ownership. A Snapshot is a value, but Sum and Sum2 are slices, so who
+// may read and write their storage has to be said. There is one rule,
+// on every transport: a pushed snapshot is lent. The sender keeps
+// ownership and must leave the storage untouched until the push call
+// returns; the receiver (Collector.Push, a store write, an RPC encoder)
+// reads it before returning, never writes to it, and keeps no reference
+// to it afterwards. Accumulator.Snapshot yields storage the caller owns
+// outright, for data that must outlive the accumulator's next change
+// (checkpoints, recovery images, manaver); Accumulator.View lends the
+// live storage itself and is what the exchange hot path pushes.
 type Snapshot struct {
 	Nrow, Ncol int
 	Sum        []float64
@@ -118,19 +129,32 @@ type Snapshot struct {
 	SimTimeNS  int64
 }
 
-// Snapshot returns a deep copy of the accumulator state.
+// Snapshot returns a deep copy of the accumulator state, owned by the
+// caller.
 func (a *Accumulator) Snapshot() Snapshot {
-	s := Snapshot{
-		Nrow:      a.nrow,
-		Ncol:      a.ncol,
-		Sum:       make([]float64, len(a.sum)),
-		Sum2:      make([]float64, len(a.sum2)),
-		N:         a.n,
-		SimTimeNS: int64(a.simTime),
-	}
+	s := a.View()
+	s.Sum = make([]float64, len(a.sum))
+	s.Sum2 = make([]float64, len(a.sum2))
 	copy(s.Sum, a.sum)
 	copy(s.Sum2, a.sum2)
 	return s
+}
+
+// View returns a borrowed snapshot: Sum and Sum2 alias the
+// accumulator's live storage, so it costs no allocation and no copy
+// whatever the matrix size. It is valid only until the next Add, Merge
+// or Reset of a, and it is read-only — see the ownership rule on
+// Snapshot. Hand it to a receiver that consumes it before returning;
+// anything that must hold the moments longer takes Snapshot instead.
+func (a *Accumulator) View() Snapshot {
+	return Snapshot{
+		Nrow:      a.nrow,
+		Ncol:      a.ncol,
+		Sum:       a.sum,
+		Sum2:      a.sum2,
+		N:         a.n,
+		SimTimeNS: int64(a.simTime),
+	}
 }
 
 // Validate checks internal consistency of a snapshot (dimensions, slice

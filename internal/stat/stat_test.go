@@ -267,6 +267,27 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
+// TestViewAliasesLiveStorage: View is the live storage — equal to a
+// Snapshot taken at the same moment, and following the accumulator
+// afterwards, where the Snapshot does not.
+func TestViewAliasesLiveStorage(t *testing.T) {
+	a := New(1, 3)
+	a.AddTimed([]float64{1, 2, 3}, time.Second)
+	v, s := a.View(), a.Snapshot()
+	if v.Nrow != s.Nrow || v.Ncol != s.Ncol || v.N != s.N || v.SimTimeNS != s.SimTimeNS {
+		t.Fatalf("view header %+v differs from snapshot header %+v", v, s)
+	}
+	for i := range s.Sum {
+		if v.Sum[i] != s.Sum[i] || v.Sum2[i] != s.Sum2[i] {
+			t.Fatalf("view moments differ from snapshot at %d", i)
+		}
+	}
+	a.Add([]float64{10, 10, 10})
+	if v.Sum[0] != 11 || s.Sum[0] != 1 {
+		t.Fatalf("after Add: view Sum[0] = %g (want 11, aliased), snapshot Sum[0] = %g (want 1, owned)", v.Sum[0], s.Sum[0])
+	}
+}
+
 func TestMeanSimTime(t *testing.T) {
 	a := New(1, 1)
 	a.AddTimed([]float64{0}, 2*time.Second)

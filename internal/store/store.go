@@ -348,6 +348,8 @@ func (d *Dir) RemoveCheckpoint() error {
 // input of the manaver command: when a cluster job is killed, the last
 // worker snapshots typically hold a larger sample volume than the last
 // collector save.
+//
+// snap is borrowed, see stat.Snapshot.
 func (d *Dir) SaveWorkerSnapshot(worker int, snap stat.Snapshot, meta RunMeta) error {
 	if worker < 0 {
 		return fmt.Errorf("store: negative worker id %d", worker)

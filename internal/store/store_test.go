@@ -267,6 +267,23 @@ func TestSaveWorkerSnapshotNegativeID(t *testing.T) {
 	}
 }
 
+// A cumulative sum can overflow to ±Inf though every push was finite;
+// the write must fail loudly rather than leave a file that
+// LoadWorkerSnapshots rejects when manaver needs it.
+func TestSaveWorkerSnapshotRejectsNonFinite(t *testing.T) {
+	d, _ := Open(t.TempDir())
+	a := stat.New(1, 2)
+	a.Add([]float64{1, 2})
+	v := a.View()
+	v.Sum[1] = math.Inf(1)
+	if err := d.SaveWorkerSnapshot(0, v, testMeta()); err == nil {
+		t.Fatal("expected error for a non-finite moment")
+	}
+	if snaps, _, err := d.LoadWorkerSnapshots(); err != nil || len(snaps) != 0 {
+		t.Fatalf("a rejected snapshot left %d files behind (err %v)", len(snaps), err)
+	}
+}
+
 func TestExperimentLog(t *testing.T) {
 	d, _ := Open(t.TempDir())
 	meta := testMeta()
