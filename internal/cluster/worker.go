@@ -69,7 +69,7 @@ func newWorkerObs(reg *obs.Registry, w int, rc *ResilientClient) *workerObs {
 	return &workerObs{
 		realizations: reg.Counter("parmonc_worker_realizations_total", "Realizations simulated by this worker.", label),
 		pushes:       reg.Counter("parmonc_worker_pushes_total", "Subtotal pushes acknowledged by the coordinator.", label),
-		realizeSec: reg.Histogram("parmonc_worker_realization_seconds", "Wall time of one realization.",
+		realizeSec: reg.Histogram("parmonc_worker_realization_seconds", "Mean wall time of one realization, observed once per timed block of realizations.",
 			obs.ExpBuckets(1e-6, 4, 16), label),
 		pushSec: reg.Histogram("parmonc_worker_push_seconds", "Round-trip time of one push RPC, retries and backoff included.",
 			obs.ExpBuckets(1e-4, 4, 12), label),
@@ -308,14 +308,14 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig, factory core.
 		}
 		local.Reset()
 		var done int64
-		err = core.RunLease(spec.Params, spec.SeqNum, l, realize, local, func(k int64, elapsed time.Duration) (bool, error) {
-			done++
-			rep.Realizations++
+		err = core.RunLease(spec.Params, spec.SeqNum, l, spec.PassEvery, realize, local, func(b core.Block) (bool, error) {
+			done += b.Size
+			rep.Realizations += b.Size
 			if wo != nil {
-				wo.realizations.Inc()
-				wo.realizeSec.Observe(elapsed.Seconds())
+				wo.realizations.Add(b.Size)
+				wo.realizeSec.Observe(b.Elapsed.Seconds() / float64(b.Size))
 			}
-			if local.N() >= spec.PassEvery || k == l.Count-1 {
+			if b.Cut {
 				var perr error
 				if stop, fenced, perr = push(ctx, l.ID, done); perr != nil {
 					return false, fmt.Errorf("push: %w", perr)

@@ -65,3 +65,45 @@ func TestStrictExchangeAllocationGate(t *testing.T) {
 			narrow, wide, d)
 	}
 }
+
+// TestPeriodicLoopAllocationGate: a periodic run's realization loop —
+// positioning the substream, zeroing the buffer, the kernel, the add,
+// the block clock — allocates nothing per realization. One heap object
+// per realization (a generator per repositioning, a closure, a boxed
+// timing) fails this by two orders of magnitude; the once-per-run
+// set-up and the final save are spread over L.
+func TestPeriodicLoopAllocationGate(t *testing.T) {
+	const L = 1_000_000
+	cfg := Config{
+		Nrow:       1,
+		Ncol:       1,
+		MaxSamples: L,
+		Workers:    1,
+		PassPeriod: time.Hour, // one push, at the end
+		AverPeriod: time.Hour, // one save, at Finalize
+		WorkDir:    t.TempDir(),
+		Params:     rng.DefaultParams(),
+	}
+	factory := func(int) (Realization, error) {
+		return func(src *rng.Stream, out []float64) error {
+			out[0] = src.Float64()
+			return nil
+		}, nil
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := RunFactory(context.Background(), cfg, factory)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.N != L {
+		t.Fatalf("N = %d, want %d", res.Report.N, L)
+	}
+	perRealization := float64(after.Mallocs-before.Mallocs) / L
+	t.Logf("heap objects per realization in a periodic 1×1 run: %.4f", perRealization)
+	if perRealization >= 0.01 {
+		t.Fatalf("%.4f heap objects per realization in a periodic run, gate 0.01", perRealization)
+	}
+}

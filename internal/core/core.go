@@ -243,7 +243,7 @@ type Result struct {
 // uninstrumented runs pay nothing on the realization hot path.
 type runObs struct {
 	realizations *obs.Counter   // realizations completed across all workers
-	realizeSec   *obs.Histogram // per-realization wall time
+	realizeSec   *obs.Histogram // mean realization wall time, one observation per timed block
 	pushSec      *obs.Histogram // collector-side merge latency per push
 }
 
@@ -260,7 +260,7 @@ func newRunObs(reg *obs.Registry, eng *collect.Collector) *runObs {
 		func() float64 { return float64(eng.Active()) })
 	return &runObs{
 		realizations: reg.Counter("parmonc_realizations_total", "Realizations simulated by this process."),
-		realizeSec: reg.Histogram("parmonc_realization_seconds", "Wall time of one realization.",
+		realizeSec: reg.Histogram("parmonc_realization_seconds", "Mean wall time of one realization, observed once per timed block of realizations.",
 			obs.ExpBuckets(1e-6, 4, 16)),
 		pushSec: reg.Histogram("parmonc_collector_push_seconds", "Collector-side latency of one subtotal push (validate + merge + bookkeeping).",
 			obs.ExpBuckets(1e-6, 4, 16)),
@@ -506,7 +506,6 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 			return perr
 		}
 		local.Reset()
-		lastPass = time.Now()
 		return nil
 	}
 	// Flush the final subtotal; a flush failure surfaces unless the
@@ -517,16 +516,23 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		}
 	}()
 
+	// Strict exchange cuts after every realization; a periodic run has
+	// no count cut, only the clock's.
+	window := int64(math.MaxInt64)
+	if cfg.StrictExchange {
+		window = 1
+	}
 	running := func() bool { return ctx.Err() == nil && !eng.StopSatisfied() }
-	step := func(_ int64, elapsed time.Duration) (bool, error) {
+	step := func(b Block) (bool, error) {
 		if ro != nil {
-			ro.realizations.Inc()
-			ro.realizeSec.Observe(elapsed.Seconds())
+			ro.realizations.Add(b.Size)
+			ro.realizeSec.Observe(b.Elapsed.Seconds() / float64(b.Size))
 		}
-		if cfg.StrictExchange || time.Since(lastPass) >= cfg.PassPeriod {
+		if cfg.StrictExchange || b.End.Sub(lastPass) >= cfg.PassPeriod {
 			if err := push(); err != nil {
 				return false, err
 			}
+			lastPass = b.End
 		}
 		return running(), nil
 	}
@@ -538,51 +544,109 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		if !running() {
 			return nil
 		}
-		if err := RunLease(params, cfg.SeqNum, l, r, local, step); err != nil {
+		if err := RunLease(params, cfg.SeqNum, l, window, r, local, step); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// blockTarget is how long RunLease aims to make one timed block of
+// realizations: long enough that two clock readings are noise against
+// it, short enough that a block boundary — where step can stop the
+// lease — comes around promptly.
+const blockTarget = 10 * time.Microsecond
+
+// Block is one run of consecutive realizations of a lease that RunLease
+// timed with a single pair of clock readings and reports to step.
+type Block struct {
+	Last    int64         // index within the lease of the block's last realization
+	Size    int64         // realizations in the block
+	End     time.Time     // clock reading at the end of the block
+	Elapsed time.Duration // wall time of the whole block
+	Cut     bool          // the block ends on a window cut or at the lease end
+}
+
 // RunLease is the library's one realization loop, shared by every
 // transport: it simulates the realizations of lease l — coordinates
 // Start … Start+Count-1 of processor subsequence l.Proc in experiment
 // seqNum — in order, each on its own realization substream, into a
-// zeroed buffer, and adds each result (with its wall time) to local. A
-// routine that fails or panics ends the lease with an error.
+// zeroed buffer, and adds each result to local.
 //
-// After every realization RunLease calls step with the realization's
-// index within the lease and its wall time; step owns the exchange
-// policy (when to snapshot and push local) and returns false to end the
-// lease early — cancellation, a stop signal, a fence. An endless window
-// is a lease with Count = math.MaxInt64.
-func RunLease(params rng.Params, seqNum uint64, l collect.Lease, r Realization, local *stat.Accumulator,
-	step func(k int64, elapsed time.Duration) (more bool, err error)) error {
+// The lease is cut into exchange windows of window realizations (1 for
+// strict exchange, math.MaxInt64 for none) counted from its start, and
+// realizations are timed in blocks: a block starts at one realization,
+// doubles while it takes less than about 10 µs and halves when it takes
+// well over that, and never crosses a window cut or the lease end, so
+// a slow routine or strict exchange times every realization alone. The
+// block's wall time goes to local with its last realization, so
+// local.SimTime() grows by exactly the Elapsed of each block. After
+// every block RunLease calls step, which owns the exchange policy (what
+// to do at a cut, when to push on the clock) and returns false to end
+// the lease early — cancellation, a stop signal, a fence. An endless
+// window is a lease with Count = math.MaxInt64.
+//
+// A routine that fails or panics ends the lease with an error naming
+// the realization. The realizations before it in its block are already
+// in local, so step is told of them first, as a block that is not a cut
+// and whose time local does not hold; its verdict is not asked for.
+func RunLease(params rng.Params, seqNum uint64, l collect.Lease, window int64, r Realization, local *stat.Accumulator,
+	step func(Block) (more bool, err error)) error {
+	if window < 1 {
+		return fmt.Errorf("core: exchange window %d must be at least 1", window)
+	}
 	stream, err := rng.NewStream(params, rng.Coord{Experiment: seqNum, Processor: l.Proc, Realization: l.Start})
 	if err != nil {
 		return err
 	}
 	out := make([]float64, local.Rows()*local.Cols())
-	for k := int64(0); k < l.Count; k++ {
-		if k > 0 {
-			if err := stream.NextRealization(); err != nil {
-				return err
+	size := int64(1)
+	for k := int64(0); k < l.Count; {
+		n := min(size, l.Count-k, window-k%window)
+		t0 := time.Now()
+		i := k
+		for ; ; i++ {
+			if i > 0 {
+				if err = stream.NextRealization(); err != nil {
+					break
+				}
+			}
+			clear(out)
+			if err = callRealization(r, stream, out); err != nil {
+				err = fmt.Errorf("realization %d of %v: %w", l.Start+uint64(i), l, err)
+				break
+			}
+			if i == k+n-1 {
+				break
+			}
+			if err = local.Add(out); err != nil {
+				break
 			}
 		}
-		for i := range out {
-			out[i] = 0
+		end := time.Now()
+		elapsed := end.Sub(t0)
+		if err != nil {
+			// The realizations before the failure are in local: step
+			// hears of them, and the lease ends with the failure
+			// whatever step answers.
+			if i > k {
+				_, _ = step(Block{Last: i - 1, Size: i - k, End: end, Elapsed: elapsed})
+			}
+			return err
 		}
-		t0 := time.Now()
-		if err := callRealization(r, stream, out); err != nil {
-			return fmt.Errorf("realization %d of %v: %w", l.Start+uint64(k), l, err)
-		}
-		elapsed := time.Since(t0)
 		if err := local.AddTimed(out, elapsed); err != nil {
 			return err
 		}
-		if more, err := step(k, elapsed); err != nil || !more {
+		k += n
+		b := Block{Last: k - 1, Size: n, End: end, Elapsed: elapsed, Cut: k%window == 0 || k == l.Count}
+		if more, err := step(b); err != nil || !more {
 			return err
+		}
+		switch {
+		case elapsed < blockTarget && n == size:
+			size *= 2
+		case elapsed > 4*blockTarget && size > 1:
+			size /= 2
 		}
 	}
 	return nil

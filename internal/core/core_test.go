@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"parmonc/internal/collect"
+	"parmonc/internal/obs"
 	"parmonc/internal/rng"
 	"parmonc/internal/stat"
 	"parmonc/internal/store"
@@ -332,16 +333,39 @@ func TestWorkersExceedingHierarchyRejected(t *testing.T) {
 	}
 }
 
+// TestStrictExchangeMode: under strict exchange every realization is
+// its own timed block and its own collector push, so a run of L makes
+// exactly L pushes and L realization-time observations. A periodic run
+// times realizations in blocks, and the realization counter still adds
+// up to L.
 func TestStrictExchangeMode(t *testing.T) {
-	cfg := fastCfg(t.TempDir())
-	cfg.StrictExchange = true
-	cfg.MaxSamples = 200
-	res, err := Run(context.Background(), cfg, uniformMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.N != 200 {
-		t.Fatalf("N = %d", res.Report.N)
+	const L = 2000
+	for _, strict := range []bool{true, false} {
+		cfg := fastCfg(t.TempDir())
+		cfg.StrictExchange = strict
+		cfg.MaxSamples = L
+		cfg.Workers = 2
+		cfg.Registry = obs.NewRegistry()
+		res, err := Run(context.Background(), cfg, uniformMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.N != L {
+			t.Fatalf("strict=%v: N = %d, want %d", strict, res.Report.N, L)
+		}
+		m := cfg.Registry.Snapshot()
+		if got := m["parmonc_realizations_total"]; got != L {
+			t.Fatalf("strict=%v: parmonc_realizations_total = %v, want %d", strict, got, L)
+		}
+		if !strict {
+			continue
+		}
+		if res.Metrics.Pushes != L {
+			t.Fatalf("strict: %d collector pushes, want %d", res.Metrics.Pushes, L)
+		}
+		if got := m["parmonc_realization_seconds_count"]; got != L {
+			t.Fatalf("strict: %v realization-time observations, want one per realization (%d)", got, L)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package rng
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"parmonc/internal/lcg"
 	"parmonc/internal/u128"
 )
 
@@ -85,6 +87,90 @@ func FuzzSubstreamWindowsDisjoint(f *testing.F) {
 					seen[st] = fmt.Sprintf("(p=%d,r=%d) draw %d", c.Processor, c.Realization, i)
 					s.Float64()
 				}
+			}
+		}
+	})
+}
+
+// FuzzNextRealizationMatchesNewStream pins the incremental step against
+// positioning from the origin: for any valid hierarchy (including
+// n_r = n_p, where a processor holds one realization), any starting
+// coordinate and any number of draws between steps, every
+// NextRealization must land on exactly the state NewStream computes for
+// the next coordinate. At the capacity boundary the step must fail with
+// CheckCoord's error for that coordinate and leave the stream as it was.
+func FuzzNextRealizationMatchesNewStream(f *testing.F) {
+	f.Add(uint8(115), uint8(98), uint8(43), uint64(1), uint64(2), uint64(0), false, uint8(3), uint8(8))
+	f.Add(uint8(20), uint8(10), uint8(5), uint64(0), uint64(0), uint64(1), true, uint8(0), uint8(4))
+	f.Add(uint8(10), uint8(10), uint8(10), uint64(3), uint64(0), uint64(0), false, uint8(1), uint8(2))
+	f.Add(uint8(125), uint8(125), uint8(0), uint64(0), uint64(0), uint64(0), false, uint8(0), uint8(2))
+	f.Add(uint8(125), uint8(100), uint8(0), uint64(0), uint64(0), uint64(2), true, uint8(5), uint8(5))
+	f.Add(uint8(7), uint8(3), uint8(0), uint64(9), uint64(1), uint64(3), true, uint8(200), uint8(16))
+	f.Fuzz(func(t *testing.T, ne8, np8, nr8 uint8, e, pr, r uint64, nearEnd bool, draws, steps uint8) {
+		ne := uint(ne8) % (lcg.UsableLog2 + 1)
+		np := uint(np8) % (ne + 1)
+		nr := uint(nr8) % (np + 1)
+		p, err := NewParams(ne, np, nr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reduce a raw index into [0, capacity); with nearEnd, count it
+		// back from the last index instead, so short walks reach the
+		// boundary.
+		within := func(x uint64, capacity u128.Uint128, fromEnd bool) uint64 {
+			if capacity.Hi != 0 {
+				if fromEnd {
+					return math.MaxUint64 - x%16
+				}
+				return x
+			}
+			x %= capacity.Lo
+			if fromEnd {
+				return capacity.Lo - 1 - x%16%capacity.Lo
+			}
+			return x
+		}
+		c := Coord{
+			Experiment:  within(e, p.MaxExperiments(), false),
+			Processor:   within(pr, p.MaxProcessors(), false),
+			Realization: within(r, p.MaxRealizations(), nearEnd),
+		}
+		s, err := NewStream(p, c)
+		if err != nil {
+			t.Fatalf("params %+v coord %+v: %v", p, c, err)
+		}
+		for k := 0; k < int(steps)%32; k++ {
+			for i := 0; i < int(draws)%64; i++ {
+				s.Float64()
+			}
+			before, drawn, at := s.State(), s.Drawn(), s.Coord()
+			err := s.NextRealization()
+			next := at
+			next.Realization++
+			if at.Realization == math.MaxUint64 {
+				if err == nil {
+					t.Fatalf("params %+v: stepped past realization index %d", p, at.Realization)
+				}
+			} else if want := p.CheckCoord(next); want != nil {
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("params %+v coord %+v: step error %v, want CheckCoord's %v", p, at, err, want)
+				}
+			} else if err != nil {
+				t.Fatalf("params %+v coord %+v: step refused: %v", p, at, err)
+			}
+			if err != nil {
+				if !s.State().Eq(before) || s.Drawn() != drawn || s.Coord() != at {
+					t.Fatalf("params %+v coord %+v: a refused step changed the stream", p, at)
+				}
+				return
+			}
+			ref, err := NewStream(p, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.State().Eq(ref.State()) || s.Coord() != next || s.Drawn() != 0 {
+				t.Fatalf("params %+v: step %d to %+v: state %v coord %+v drawn %d; NewStream gives %v",
+					p, k, next, s.State(), s.Coord(), s.Drawn(), ref.State())
 			}
 		}
 	})

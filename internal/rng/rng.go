@@ -26,6 +26,7 @@ package rng
 
 import (
 	"fmt"
+	"math"
 
 	"parmonc/internal/lcg"
 	"parmonc/internal/u128"
@@ -159,10 +160,13 @@ func (p Params) CheckCoord(c Coord) error {
 // A Stream is not safe for concurrent use. The PARMONC design never
 // shares one: each realization gets its own.
 type Stream struct {
-	gen    *lcg.Gen
+	gen    lcg.Gen
 	params Params
 	coord  Coord
-	drawn  uint64 // base random numbers drawn so far
+	drawn  uint64       // base random numbers drawn so far
+	start  u128.Uint128 // generator state at the start of the current realization
+	leap   u128.Uint128 // Â(n_r): the step from one realization start to the next
+	last   uint64       // largest realization index the hierarchy holds
 }
 
 // NewStream returns a Stream positioned at the start of the realization
@@ -175,9 +179,14 @@ func NewStream(p Params, c Coord) (*Stream, error) {
 	if err := p.CheckCoord(c); err != nil {
 		return nil, err
 	}
-	g := lcg.New()
-	g.SkipAhead(p.offset(c))
-	return &Stream{gen: g, params: p, coord: c}, nil
+	s := &Stream{gen: *lcg.New(), params: p, coord: c, leap: lcg.LeapMultiplierPow2(p.RealizationLeapLog2)}
+	s.gen.SkipAhead(p.offset(c))
+	s.start = s.gen.State()
+	s.last = math.MaxUint64
+	if max := p.MaxRealizations(); max.Hi == 0 {
+		s.last = max.Lo - 1
+	}
+	return s, nil
 }
 
 // Coord returns the stream's position in the hierarchy.
@@ -209,35 +218,26 @@ func (s *Stream) Uint64() uint64 {
 // this before each realization so that every realization consumes an
 // independent subsequence regardless of how many numbers the previous one
 // drew.
+//
+// Consecutive realization starts are exactly n_r draws apart, so the
+// step is one multiplication of the current realization's start state
+// by Â(n_r) — exact, because the arithmetic is modulo 2^128. At the
+// capacity boundary it returns an error and leaves the stream as it was.
 func (s *Stream) NextRealization() error {
-	c := s.coord
-	c.Realization++
-	if err := s.params.CheckCoord(c); err != nil {
+	if s.coord.Realization >= s.last {
+		if s.coord.Realization == math.MaxUint64 {
+			return fmt.Errorf("rng: realization index %d cannot advance", s.coord.Realization)
+		}
+		next := s.coord
+		next.Realization++
+		return s.params.CheckCoord(next)
+	}
+	next := s.start.Mul(s.leap)
+	if err := s.gen.SetState(next); err != nil {
 		return err
 	}
-	// Jump relative to the current realization start, not the current
-	// position: re-derive the state from the origin offset. Deriving
-	// fresh is O(log offset) and keeps the arithmetic exact.
-	g := lcg.New()
-	g.SkipAhead(s.params.offset(c))
-	s.gen = g
-	s.coord = c
-	s.drawn = 0
-	return nil
-}
-
-// SeekRealization repositions the stream at the start of realization r on
-// the same processor.
-func (s *Stream) SeekRealization(r uint64) error {
-	c := s.coord
-	c.Realization = r
-	if err := s.params.CheckCoord(c); err != nil {
-		return err
-	}
-	g := lcg.New()
-	g.SkipAhead(s.params.offset(c))
-	s.gen = g
-	s.coord = c
+	s.start = next
+	s.coord.Realization++
 	s.drawn = 0
 	return nil
 }

@@ -213,21 +213,6 @@ func TestNextRealizationIndependentOfDrawCount(t *testing.T) {
 	}
 }
 
-func TestSeekRealization(t *testing.T) {
-	p := DefaultParams()
-	s := mustStream(t, p, Coord{Processor: 4})
-	if err := s.SeekRealization(42); err != nil {
-		t.Fatal(err)
-	}
-	fresh := mustStream(t, p, Coord{Processor: 4, Realization: 42})
-	if !s.State().Eq(fresh.State()) {
-		t.Fatal("SeekRealization landed at wrong state")
-	}
-	if err := s.SeekRealization(1 << 55); err == nil {
-		t.Fatal("SeekRealization past capacity: expected error")
-	}
-}
-
 func TestNextRealizationCapacityExhaustion(t *testing.T) {
 	// With tiny custom leaps, exhausting realizations must error rather
 	// than silently overlap the next processor's subsequence.

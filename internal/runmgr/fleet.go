@@ -616,9 +616,9 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 	l := task.Lease
 	local := stat.New(task.Nrow, task.Ncol)
 	var done int64
-	err := core.RunLease(task.Params, task.SeqNum, l, realize, local, func(k int64, _ time.Duration) (bool, error) {
-		rep.Realizations++
-		if local.N() >= task.PassEvery || k == l.Count-1 {
+	err := core.RunLease(task.Params, task.SeqNum, l, task.PassEvery, realize, local, func(b core.Block) (bool, error) {
+		rep.Realizations += b.Size
+		if b.Cut {
 			done += local.N()
 			// Buffer the window (Snapshot is a deep copy) and keep
 			// simulating; the batcher decides when the wire sees it. A

@@ -18,11 +18,12 @@ import (
 )
 
 // recoveryChaosSubs are the runs every kill-restart seed must carry
-// across service crashes and still finish bit-identically.
+// across service crashes and still finish bit-identically. They are
+// sized to outlast the first kill window (50–300 ms) without -race.
 func recoveryChaosSubs() []Submission {
 	return []Submission{
-		{Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 150_000, SeqNum: 61, PassEvery: 100, LeaseSize: 5_000},
-		{Scenario: workload.Spec{Workload: "option"}, MaxSamples: 80_000, SeqNum: 62, PassEvery: 100, LeaseSize: 4_000},
+		{Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 750_000, SeqNum: 61, PassEvery: 100, LeaseSize: 25_000},
+		{Scenario: workload.Spec{Workload: "option"}, MaxSamples: 400_000, SeqNum: 62, PassEvery: 100, LeaseSize: 20_000},
 	}
 }
 

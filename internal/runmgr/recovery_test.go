@@ -238,9 +238,11 @@ func TestGracefulShutdownResumeNoReplay(t *testing.T) {
 // restores the per-shard accumulators and re-derives the outstanding
 // lease remainders from the merged-prefix ledger.
 func TestKillRecoveryBitIdentical(t *testing.T) {
+	// Sized so the run is still going when its first recovery image
+	// lands and the kill comes.
 	sub := Submission{
-		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 400_000,
-		SeqNum: 52, PassEvery: 100, LeaseSize: 20_000,
+		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 2_000_000,
+		SeqNum: 52, PassEvery: 100, LeaseSize: 100_000,
 	}
 	want := runIsolated(t, sub)
 
