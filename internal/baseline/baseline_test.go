@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"parmonc/internal/lcg"
 	"parmonc/internal/rngtest"
 )
 
@@ -134,4 +135,25 @@ func BenchmarkFloat64_40(b *testing.B) {
 		sink = g.Float64()
 	}
 	_ = sink
+}
+
+// BenchmarkRNG compares the 128-bit PARMONC generator against the
+// 40-bit baseline whose period exhaustion motivates it (Sec. 2.2).
+func BenchmarkRNG(b *testing.B) {
+	b.Run("parmonc128-next", func(b *testing.B) {
+		g := lcg.New()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink = g.Float64()
+		}
+		_ = sink
+	})
+	b.Run("baseline40-next", func(b *testing.B) {
+		g := New40()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink = g.Float64()
+		}
+		_ = sink
+	})
 }

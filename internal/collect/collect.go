@@ -236,10 +236,10 @@ type leaseState struct {
 // only update statistics and metrics.
 //
 // With a store, New establishes the base moments — the previous run's
-// checkpoint when cfg.Resume is set, empty otherwise (removing stale
-// checkpoint and worker-snapshot files) — then writes the run-base
-// checkpoint and appends to the experiment log, exactly as both
-// transports did before.
+// checkpoint when cfg.Resume is set, empty otherwise (removing the stale
+// checkpoint) — removes the previous run's worker-snapshot files unless
+// restoring, then writes the run-base checkpoint and appends to the
+// experiment log, exactly as both transports did before.
 func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 	if meta.Nrow <= 0 || meta.Ncol <= 0 {
 		return nil, fmt.Errorf("collect: invalid realization dimensions %d×%d", meta.Nrow, meta.Ncol)
@@ -324,6 +324,11 @@ func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 		if err := dir.RemoveCheckpoint(); err != nil {
 			return nil, err
 		}
+	}
+	// Worker snapshot files hold one run's subtotals on top of its base.
+	// A resumed run's base already holds the previous run's, so files
+	// left behind would be counted twice by Manaver.
+	if cfg.Restore == nil && dir != nil {
 		if err := dir.RemoveWorkerSnapshots(); err != nil {
 			return nil, err
 		}

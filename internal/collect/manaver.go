@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,6 +16,12 @@ import (
 // hold a larger sample volume than the last collector save. It rewrites
 // the results files and the collector checkpoint and returns the merged
 // report.
+//
+// Manaver writes nothing and returns an error when there is nothing to
+// average (no worker files: the run did not save them), when a worker
+// file belongs to another run than the base, or when the recovered
+// sample volume is below that of the checkpoint already on disk:
+// results never move backwards.
 //
 // It lives in the collector engine because it is the same merge — the
 // 0-th processor's formula (5) — replayed from disk instead of from a
@@ -40,14 +47,30 @@ func Manaver(workdir string) (stat.Report, error) {
 	if err != nil {
 		return stat.Report{}, err
 	}
-	snaps, _, err := dir.LoadWorkerSnapshots()
+	snaps, metas, err := dir.LoadWorkerSnapshots()
 	if err != nil {
 		return stat.Report{}, err
 	}
+	if len(snaps) == 0 {
+		return stat.Report{}, fmt.Errorf("collect: manaver: no worker snapshot files in %s (the run did not save them)", workdir)
+	}
 	for i, s := range snaps {
+		if metas[i].SeqNum != meta.SeqNum {
+			return stat.Report{}, fmt.Errorf("collect: manaver: worker snapshot %d is from experiments subsequence %d, the run base from %d",
+				i, metas[i].SeqNum, meta.SeqNum)
+		}
 		if err := total.Merge(s); err != nil {
 			return stat.Report{}, fmt.Errorf("collect: manaver: worker snapshot %d: %w", i, err)
 		}
+	}
+	// A torn checkpoint is quarantined by the load and rebuilt below;
+	// only a readable one bounds the recovered volume from below.
+	if saved, _, err := dir.LoadCheckpoint(); err == nil {
+		if total.N() < saved.N {
+			return stat.Report{}, fmt.Errorf("collect: manaver: worker snapshots hold %d realizations, fewer than the %d already saved", total.N(), saved.N)
+		}
+	} else if !os.IsNotExist(err) && !errors.Is(err, store.ErrCorrupt) {
+		return stat.Report{}, err
 	}
 	rep := total.Report(meta.Gamma)
 	if err := dir.SaveResults(rep, meta); err != nil {

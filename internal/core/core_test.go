@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,6 +409,129 @@ func TestManaverReconstructsResults(t *testing.T) {
 func TestManaverWithoutRun(t *testing.T) {
 	if _, err := Manaver(t.TempDir()); err == nil {
 		t.Fatal("expected error when nothing has run")
+	}
+}
+
+// runFiles reads the files Manaver rewrites: the results and the
+// collector checkpoint.
+func runFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	for _, p := range []string{
+		filepath.Join(dir, store.DataDir, store.ResultsDir, store.FuncFile),
+		filepath.Join(dir, store.DataDir, store.ResultsDir, store.FuncCIFile),
+		filepath.Join(dir, store.DataDir, store.ResultsDir, store.FuncLogFile),
+		filepath.Join(dir, store.DataDir, store.CheckpointFile),
+	} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[p] = b
+	}
+	return files
+}
+
+// TestManaverRefusesToMoveResultsBackwards: with nothing to average (a
+// run that saved no worker files) or fewer realizations in the worker
+// files than the checkpoint already holds, manaver must fail and leave
+// the finished run's results and checkpoint byte-identical.
+func TestManaverRefusesToMoveResultsBackwards(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wsnap   bool
+		prepare func(t *testing.T, dir string)
+	}{
+		{name: "no-worker-files"},
+		{name: "fewer-than-saved", wsnap: true, prepare: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, store.DataDir, store.WorkersDir, "worker-000000.dat")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := fastCfg(dir)
+			cfg.MaxSamples = 500
+			cfg.SaveWorkerSnapshots = tc.wsnap
+			cfg.StrictExchange = tc.wsnap // every realization lands in a worker file
+			res, err := Run(context.Background(), cfg, uniformMean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Report.N != 500 {
+				t.Fatalf("run N = %d", res.Report.N)
+			}
+			if tc.prepare != nil {
+				tc.prepare(t, dir)
+			}
+			before := runFiles(t, dir)
+			if rep, err := Manaver(dir); err == nil {
+				t.Fatalf("manaver succeeded with N = %d, want an error", rep.N)
+			}
+			after := runFiles(t, dir)
+			for p, b := range before {
+				if !bytes.Equal(after[p], b) {
+					t.Errorf("manaver rewrote %s", filepath.Base(p))
+				}
+			}
+		})
+	}
+}
+
+// TestManaverAfterResumeCountsOnlyTheResumedRun: a resumed run with
+// fewer workers than its predecessor must not leave the predecessor's
+// worker files for manaver to add on top of the resumed base, and a
+// worker file from another experiments subsequence is rejected.
+func TestManaverAfterResumeCountsOnlyTheResumedRun(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fastCfg(dir)
+	cfg.SaveWorkerSnapshots = true
+	cfg.StrictExchange = true
+	cfg.Workers = 3
+	cfg.MaxSamples = 600
+	if _, err := Run(context.Background(), cfg, uniformMean); err != nil {
+		t.Fatal(err)
+	}
+	workers := filepath.Join(dir, store.DataDir, store.WorkersDir)
+	stale, err := os.ReadFile(filepath.Join(workers, "worker-000000.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	cfg.SeqNum = 1
+	cfg.Workers = 1
+	cfg.MaxSamples = 100
+	res, err := Run(context.Background(), cfg, uniformMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.N != 700 {
+		t.Fatalf("resumed N = %d, want 700", res.Report.N)
+	}
+	rep, err := Manaver(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.N != res.Report.N {
+		t.Fatalf("manaver N = %d, resumed run N = %d", rep.N, res.Report.N)
+	}
+
+	// A leftover file from the first run (SeqNum 0) beside the resumed
+	// run's base (SeqNum 1) is refused, not merged.
+	if err := os.WriteFile(filepath.Join(workers, "worker-000009.dat"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runFiles(t, dir)
+	if rep, err := Manaver(dir); err == nil {
+		t.Fatalf("manaver merged a worker file from another run: N = %d", rep.N)
+	}
+	after := runFiles(t, dir)
+	for p, b := range before {
+		if !bytes.Equal(after[p], b) {
+			t.Errorf("manaver rewrote %s", filepath.Base(p))
+		}
 	}
 }
 

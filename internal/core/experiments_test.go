@@ -71,6 +71,7 @@ func TestRunExperimentsSeparateDirectories(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fastCfg(dir)
 	cfg.MaxSamples = 100
+	cfg.SaveWorkerSnapshots = true // manaver's input
 	if _, err := RunExperiments(context.Background(), cfg, []uint64{5, 9}, uniformFactory); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 // Micro-benchmarks for the two functions on the collector's push hot
 // path: every push validates its snapshot once and then folds it into a
 // shard accumulator, so per-element costs here multiply directly into
-// collector throughput (see BenchmarkCollectorPushContended at the repo
-// root). The 1000×2 shape matches that benchmark's run geometry.
+// collector throughput (see BenchmarkCollectorPushContended in
+// internal/collect). The 1000×2 shape matches that benchmark's run
+// geometry.
 
 func benchSnapshot() Snapshot {
 	a := New(1000, 2)
@@ -29,6 +30,28 @@ func BenchmarkSnapshotValidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCollectorMerge measures the collector-side cost of one
+// subtotal merge at the paper's matrix size (1000×2) — the quantity that
+// bounds how often workers can push (the ≈120 KB message of Sec. 4).
+func BenchmarkCollectorMerge(b *testing.B) {
+	total := New(1000, 2)
+	worker := New(1000, 2)
+	row := make([]float64, 2000)
+	for i := range row {
+		row[i] = float64(i)
+	}
+	if err := worker.Add(row); err != nil {
+		b.Fatal(err)
+	}
+	snap := worker.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := total.Merge(snap); err != nil {
 			b.Fatal(err)
 		}
 	}

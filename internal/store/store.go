@@ -392,7 +392,7 @@ func (d *Dir) LoadWorkerSnapshots() ([]stat.Snapshot, []RunMeta, error) {
 }
 
 // RemoveWorkerSnapshots deletes all worker snapshot files (done when a
-// fresh run starts).
+// fresh or resumed run starts).
 func (d *Dir) RemoveWorkerSnapshots() error {
 	entries, err := os.ReadDir(d.workersPath())
 	if err != nil {

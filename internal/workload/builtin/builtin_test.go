@@ -143,3 +143,43 @@ func TestInvalidParametersRejected(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRealization sweeps every registered workload's realization
+// kernel at its schema defaults — one sub-benchmark per workload, no
+// collector in the loop — so per-scenario simulation cost (the paper's
+// τ, the per-realization time that sets where parallelism pays off) is
+// measured for all of them, not only the kernels the bench ledger runs.
+func BenchmarkRealization(b *testing.B) {
+	for _, d := range workload.All() {
+		d := d
+		b.Run(d.Name, func(b *testing.B) {
+			id, err := d.Identity(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			factory, err := d.Factory(workload.Values(id.Params))
+			if err != nil {
+				b.Fatal(err)
+			}
+			realize, err := factory(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src, err := rng.NewStream(rng.DefaultParams(), rng.Coord{Processor: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([]float64, id.Nrow*id.Ncol)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range out {
+					out[j] = 0
+				}
+				if err := realize(src, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

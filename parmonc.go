@@ -144,7 +144,9 @@ func RunFactory(ctx context.Context, cfg Config, f Factory) (Result, error) {
 }
 
 // Manaver recomputes averaged results from the per-worker snapshot files
-// of an interrupted run — the paper's manaver command.
+// of an interrupted run — the paper's manaver command. It needs a run
+// with Config.SaveWorkerSnapshots, and it rewrites nothing when the
+// recovered sample volume would be below the one already saved.
 func Manaver(workdir string) (Report, error) {
 	return core.Manaver(workdir)
 }
