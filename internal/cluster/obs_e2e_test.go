@@ -265,9 +265,15 @@ func TestObsEndToEndLiveRun(t *testing.T) {
 			sawWorker = true
 		}
 	}
-	for _, want := range []string{"register", "push", "merge", "save", "deregister"} {
+	for _, want := range []string{"register", "lease_grant", "lease_complete", "save", "deregister"} {
 		if kinds[want] == 0 {
 			t.Errorf("journal has no %q events (kinds: %v)", want, kinds)
+		}
+	}
+	// Per-window traffic is counted (pushes_total above), not journaled.
+	for _, absent := range []string{"push", "merge"} {
+		if kinds[absent] != 0 {
+			t.Errorf("journal has %d %q lines, want none (kinds: %v)", kinds[absent], absent, kinds)
 		}
 	}
 	if !sawWorker {

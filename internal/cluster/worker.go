@@ -38,9 +38,10 @@ type WorkerConfig struct {
 	// parmonc worker --http flag) to watch a worker live.
 	Registry *obs.Registry
 
-	// Journal, if non-nil, receives worker-side run events (register,
-	// push, done) with sequence numbers and retry attribution. The
-	// caller owns the journal and closes it after the session.
+	// Journal, if non-nil, receives worker-side session events
+	// (register, done) with push, lease and retry attribution; no line
+	// is written per push. The caller owns the journal and closes it
+	// after the session.
 	Journal *obs.Journal
 }
 
@@ -253,10 +254,6 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig, factory core.
 		if wo != nil {
 			wo.pushes.Inc()
 			wo.pushSec.Observe(time.Since(t0).Seconds())
-		}
-		if cfg.Journal != nil {
-			cfg.Journal.Record(obs.Event{Kind: "push", Worker: w, Seq: seq,
-				Samples: args.Snap.N, Elapsed: time.Since(t0)})
 		}
 		return pr.Stop, false, nil
 	}

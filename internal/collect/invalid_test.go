@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -176,7 +177,8 @@ func TestPushInvalidDistinctFromOtherRejections(t *testing.T) {
 }
 
 // TestPushInvalidJournalEvent: an invalid push flows through JournalHook
-// into the run journal as a push_invalid record.
+// into the run journal as a push_invalid record, while the per-window
+// push and merge events reach in-process hooks but not the journal.
 func TestPushInvalidJournalEvent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
@@ -184,11 +186,17 @@ func TestPushInvalidJournalEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(nil, invalidMeta(), Config{Hook: JournalHook(j)})
+	var hooked []EventKind // the collector calls hooks synchronously
+	eng, err := New(nil, invalidMeta(), Config{Hook: MultiHook(JournalHook(j), func(e Event) {
+		hooked = append(hooked, e.Kind)
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Register(3)
+	if err := eng.Push(3, validSnap()); err != nil {
+		t.Fatal(err)
+	}
 	snap := validSnap()
 	snap.Sum[0] = math.NaN()
 	if err := eng.Push(3, snap); err == nil {
@@ -213,9 +221,16 @@ func TestPushInvalidJournalEvent(t *testing.T) {
 		if rec.Kind == "push_invalid" && rec.Worker == 3 {
 			found = true
 		}
+		if rec.Kind == "push" || rec.Kind == "merge" {
+			t.Errorf("journal has a per-window %q line: %s", rec.Kind, line)
+		}
 	}
 	if !found {
 		t.Fatalf("journal has no push_invalid event for worker 3:\n%s", raw)
+	}
+	want := []EventKind{EventPush, EventMerge, EventPush, EventInvalid}
+	if !slices.Equal(hooked, want) {
+		t.Errorf("in-process hook saw %v, want %v", hooked, want)
 	}
 }
 

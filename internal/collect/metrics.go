@@ -193,7 +193,9 @@ func (k EventKind) String() string {
 // reject, merge, prune, stale_epoch and lease_complete; Samples is the
 // snapshot volume (push, reject, merge), the running total (save), or
 // the lease window size (lease_complete); Elapsed is the save latency;
-// Seq carries the lease ID for stale_epoch and lease_complete.
+// Seq carries the lease ID for stale_epoch and lease_complete. Every
+// kind reaches in-process Hooks; JournalHook writes all but push and
+// merge, the per-window data-plane events.
 type Event struct {
 	Kind    EventKind
 	Worker  int
@@ -232,13 +234,21 @@ func MultiHook(hooks ...Hook) Hook {
 }
 
 // JournalHook adapts collector events into run-journal records. The
-// journal's Record never blocks (events are buffered to a background
-// writer), so this hook is safe under the collector lock.
+// journal tells the run's story, not its data traffic: push and merge
+// fire once per window, so they stay counters (pushes_total,
+// merges_total) and in-process Hook deliveries, and are never written
+// as lines — at strict exchange they would be two lines per
+// realization. Every other kind is journaled. The journal's Record
+// never blocks (events are buffered to a background writer), so this
+// hook is safe under the collector lock.
 func JournalHook(j *obs.Journal) Hook {
 	if j == nil {
 		return nil
 	}
 	return func(e Event) {
+		if e.Kind == EventPush || e.Kind == EventMerge {
+			return
+		}
 		j.Record(obs.Event{
 			Kind:    e.Kind.String(),
 			Worker:  e.Worker,

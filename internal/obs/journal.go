@@ -19,10 +19,14 @@ import (
 // ordering and spacing survive wall-clock adjustments; Time is the
 // derived wall time for human consumption.
 //
-// The set of Kind values written by the library (run_start, run_stop,
-// push, merge, reject, duplicate, save, prune, register, deregister,
-// retry, reconnect) is open-ended — consumers must ignore kinds they
-// do not know.
+// The journal records a run's story, not its data traffic: lifecycle
+// (run_start, run_stop, run_admit, ...), membership (register,
+// deregister, worker_attach, worker_detach, prune, heartbeat_miss),
+// leases (lease_grant, lease_reissue, lease_complete), saves (save,
+// carrying the running N) and every rejection (reject, push_invalid,
+// duplicate, stale_epoch). Per-window push and merge are counters, not
+// lines. The set of kinds is open-ended — consumers must ignore kinds
+// they do not know.
 type Event struct {
 	Time    time.Time      `json:"ts"`
 	Mono    int64          `json:"mono_ns"`

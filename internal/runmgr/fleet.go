@@ -112,6 +112,9 @@ type PushEntry struct {
 // worker should stretch its flush cadence by at least this much
 // instead of piling more windows on. It is advisory — ignoring it
 // costs throughput, never correctness.
+//
+// Over TCP the args travel as a binary frame (see MarshalBinary), not
+// as gob-reflected fields.
 type PushBatchArgs struct {
 	Worker  int
 	Epoch   uint64
