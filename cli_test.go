@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -671,5 +673,62 @@ func TestCLIManaverDirFlag(t *testing.T) {
 	}
 	if !regexp.MustCompile(`total sample volume:?\s+2\d{4}`).MatchString(out) {
 		t.Fatalf("recovered sample volume not ≈20000:\n%s", out)
+	}
+}
+
+// dataDirContents lists the files under a parmonc_data directory,
+// relative to it, with worker snapshot files folded into one
+// "workers/worker-*.dat" entry.
+func dataDirContents(t *testing.T, data string) []string {
+	t.Helper()
+	seen := map[string]bool{}
+	err := filepath.WalkDir(data, func(p string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(data, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if ok, _ := filepath.Match("workers/worker-[0-9][0-9][0-9][0-9][0-9][0-9].dat", rel); ok {
+			rel = "workers/worker-*.dat"
+		}
+		seen[rel] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for f := range seen {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestCLIDataDirContract: after `parmonc run`, parmonc_data holds exactly
+// the paper's three results files, the run image (checkpoint.dat), the
+// experiment log and the event journal, plus the per-worker snapshot
+// files when they are enabled — no other state file.
+func TestCLIDataDirContract(t *testing.T) {
+	bin := buildCLI(t, "cmd/parmonc")
+	for _, snapshots := range []bool{true, false} {
+		dir := t.TempDir()
+		out, err := runCLI(t, dir, bin, "run", "-workload", "pi", "-maxsv", "20000", "-workers", "2",
+			"-perpass", "5ms", "-peraver", "10ms", fmt.Sprintf("-worker-snapshots=%t", snapshots))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		want := []string{"checkpoint.dat", "events.jsonl", "parmonc_exp.dat",
+			"results/func.dat", "results/func_ci.dat", "results/func_log.dat"}
+		if snapshots {
+			want = append(want, "workers/worker-*.dat")
+		}
+		sort.Strings(want)
+		if got := dataDirContents(t, filepath.Join(dir, "parmonc_data")); !reflect.DeepEqual(got, want) {
+			t.Errorf("-worker-snapshots=%t: parmonc_data holds %q, want %q", snapshots, got, want)
+		}
 	}
 }

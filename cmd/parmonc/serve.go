@@ -111,7 +111,7 @@ func cmdServe(args []string) error {
 	fmt.Printf("fleet endpoint on %s (%d local workers)\n", ln.Addr(), *localWorkers)
 	<-ctx.Done()
 	// Graceful drain: in-flight pushes land, every active run saves a
-	// final checkpoint and recovery image, the WAL records a clean
+	// final run image, the WAL records a clean
 	// shutdown — the next `parmonc serve` on this data root resumes the
 	// runs with nothing to replay.
 	fmt.Println("shutting down: draining pushes, checkpointing active runs")

@@ -72,13 +72,19 @@ func TestLifecycleGenparamRunResumeManaver(t *testing.T) {
 		t.Fatalf("pooled mean off: %g", r2.Report.MeanAt(0, 0))
 	}
 
-	// 4. simulate a crash: remove the collector checkpoint, recover the
-	// second run's results from worker snapshots via manaver.
+	// 4. simulate a crash before the second run's first save: rewind the
+	// run image to the one the run start wrote (the resume base, no
+	// shards), recover the second run's results from worker snapshots
+	// via manaver.
 	d, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RemoveCheckpoint(); err != nil {
+	img, err := d.LoadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveCheckpoint(img.Base, img.Meta); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := parmonc.Manaver(dir)

@@ -516,13 +516,18 @@ func TestManaverRecoversClusterJob(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Simulate the coordinator having died before the final save:
-	// delete the checkpoint, keep worker files, run manaver.
+	// Simulate the coordinator having died before its first save:
+	// rewind the run image to the one the run start wrote, keep worker
+	// files, run manaver.
 	d, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RemoveCheckpoint(); err != nil {
+	img, err := d.LoadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveCheckpoint(img.Base, img.Meta); err != nil {
 		t.Fatal(err)
 	}
 	recovered, err := core.Manaver(dir)

@@ -13,14 +13,15 @@
 //
 // Collector owns the full lifecycle:
 //
-//   - resume / base-checkpoint establishment (the paper's res = 1),
+//   - resume / restore from the run image (the paper's res = 1),
 //   - snapshot validation at the merge boundary (every transport),
 //   - per-worker registration, liveness and pruning,
 //   - raw-sum (Accumulator) or Welford/Chan (StableAccumulator)
 //     accumulation behind the shared stat.Moments contract,
 //   - per-worker cumulative snapshots for post-mortem averaging,
-//   - periodic averaging + atomic save, target detection, progress
-//     callbacks,
+//   - periodic averaging + atomic save — one run image (store.Image)
+//     per save, the results files derived from it — target detection,
+//     progress callbacks,
 //   - built-in Metrics (atomic counters + optional event hook).
 //
 // # Concurrency
@@ -38,7 +39,8 @@
 // internal/stat/shard.go), so the result is a deterministic function of
 // what each worker pushed and reports stay reproducible no matter how
 // pushes interleaved in real time. Saves serialize on their own lock
-// and fold a copy-on-save total, so a slow fsync never stalls pushes.
+// and copy the shards in that same walk, so a slow fsync never stalls
+// pushes.
 //
 // Transports stay thin: the goroutine driver (internal/core), the
 // net/rpc coordinator (internal/cluster) and the discrete-event cluster
@@ -88,21 +90,16 @@ type Config struct {
 	// Requires a non-nil store.
 	Resume bool
 
-	// Restore, if non-nil, rebuilds this collector from a recovery
-	// image of the *same* run (same experiments subsequence) captured
-	// by ExportRecovery — shards, dedup cursors and lease ledgers, not
-	// just the folded total — so a restarted coordinator reproduces the
-	// exact reduction tree and its reports stay bit-identical to an
-	// uninterrupted run. Restored shards start inactive and their
-	// incomplete leases revoked: pre-crash grants must fence, and the
-	// caller reissues the uncomputed remainders. Mutually exclusive
-	// with Resume, StableMoments and SaveWorkerSnapshots.
-	Restore *store.RecoveryState
-
-	// PersistRecovery writes the recovery image (store.RecoveryFile)
-	// after every successful save cycle, enabling Restore on the next
-	// incarnation. Requires a store.
-	PersistRecovery bool
+	// Restore, if non-nil, rebuilds this collector from the run image
+	// of the *same* run (same experiments subsequence) — shards, dedup
+	// cursors and lease ledgers, not just the folded total — so a
+	// restarted coordinator reproduces the exact reduction tree and its
+	// reports stay bit-identical to an uninterrupted run. Restored
+	// shards start inactive and their incomplete leases revoked:
+	// pre-crash grants must fence, and the caller reissues the
+	// uncomputed remainders. Mutually exclusive with Resume,
+	// StableMoments and SaveWorkerSnapshots.
+	Restore *store.Image
 
 	// AverPeriod is the paper's peraver: pushes arriving at least this
 	// long after the previous save trigger averaging + save. Zero or
@@ -236,10 +233,10 @@ type leaseState struct {
 // only update statistics and metrics.
 //
 // With a store, New establishes the base moments — the previous run's
-// checkpoint when cfg.Resume is set, empty otherwise (removing the stale
-// checkpoint) — removes the previous run's worker-snapshot files unless
-// restoring, then writes the run-base checkpoint and appends to the
-// experiment log, exactly as both transports did before.
+// fold when cfg.Resume is set, the image's base when restoring, empty
+// otherwise — removes the previous run's worker-snapshot files unless
+// restoring, then writes the run's first image (store.Image) over the
+// previous one and appends to the experiment log.
 func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 	if meta.Nrow <= 0 || meta.Ncol <= 0 {
 		return nil, fmt.Errorf("collect: invalid realization dimensions %d×%d", meta.Nrow, meta.Ncol)
@@ -287,9 +284,6 @@ func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 			return nil, fmt.Errorf("collect: Restore does not carry per-worker snapshot accumulators (SaveWorkerSnapshots unsupported)")
 		}
 	}
-	if cfg.PersistRecovery && dir == nil {
-		return nil, fmt.Errorf("collect: PersistRecovery requires a store")
-	}
 
 	base := stat.New(meta.Nrow, meta.Ncol)
 	if cfg.Restore != nil {
@@ -320,10 +314,6 @@ func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 		if err := base.Merge(snap); err != nil {
 			return nil, err
 		}
-	} else if dir != nil {
-		if err := dir.RemoveCheckpoint(); err != nil {
-			return nil, err
-		}
 	}
 	// Worker snapshot files hold one run's subtotals on top of its base.
 	// A resumed run's base already holds the previous run's, so files
@@ -344,7 +334,10 @@ func New(dir *store.Dir, meta store.RunMeta, cfg Config) (*Collector, error) {
 	}
 
 	if dir != nil {
-		if err := dir.SaveBaseCheckpoint(c.baseSnap, meta); err != nil {
+		// The run's first image replaces the previous run's: a fresh run
+		// starts from an empty fold, a resumed one from the previous fold.
+		img, _ := c.image()
+		if err := dir.SaveImage(img); err != nil {
 			return nil, err
 		}
 		if err := dir.AppendExperiment(meta, cfg.Resume || cfg.Restore != nil); err != nil {
@@ -907,45 +900,6 @@ func (c *Collector) stampedMeta() store.RunMeta {
 	return meta
 }
 
-// fold reduces the base moments and every shard's staging accumulator
-// into a fresh total, in the fixed order that makes reports
-// deterministic: base first, then shards in ascending worker-index
-// order (see internal/stat/shard.go). Inactive shards are included — a
-// pruned worker's merged subtotals stay valid. Each shard is locked
-// only while its own moments fold in, so pushes to other shards keep
-// flowing.
-func (c *Collector) fold() stat.Moments {
-	shards := c.shardList()
-	if c.cfg.StableMoments {
-		total := stat.NewStable(c.meta.Nrow, c.meta.Ncol)
-		if err := total.MergeTrusted(c.baseSnap); err != nil {
-			panic(fmt.Sprintf("collect: base moments fold: %v", err))
-		}
-		for _, sh := range shards {
-			sh.mu.Lock()
-			err := total.MergeStable(sh.stable)
-			sh.mu.Unlock()
-			if err != nil {
-				panic(fmt.Sprintf("collect: shard %d fold: %v", sh.worker, err))
-			}
-		}
-		return total
-	}
-	total := stat.New(c.meta.Nrow, c.meta.Ncol)
-	if err := total.MergeTrusted(c.baseSnap); err != nil {
-		panic(fmt.Sprintf("collect: base moments fold: %v", err))
-	}
-	for _, sh := range shards {
-		sh.mu.Lock()
-		err := total.MergeFrom(sh.raw)
-		sh.mu.Unlock()
-		if err != nil {
-			panic(fmt.Sprintf("collect: shard %d fold: %v", sh.worker, err))
-		}
-	}
-	return total
-}
-
 // SaveLag reports how long the most recent averaging + save cycle
 // took (zero before the first one). A collector whose saves take
 // longer than its AverPeriod can never catch up on its own; callers
@@ -978,11 +932,19 @@ func (c *Collector) maybeSave() error {
 	return err
 }
 
-// saveHolding performs one averaging + save cycle. Called with saveMu
-// held; pushes are not blocked (the fold takes each shard lock only
-// briefly, and the file I/O runs on the folded copy).
+// saveHolding performs one averaging + save cycle: one capture of the
+// run image, and the report, results files and checkpoint all derived
+// from it. Called with saveMu held; pushes are not blocked (the capture
+// takes each shard lock only briefly, and the file I/O runs on the
+// copies).
 func (c *Collector) saveHolding() (stat.Report, error) {
-	total := c.fold()
+	var img store.Image
+	var total stat.Moments
+	if c.dir != nil {
+		img, total = c.image()
+	} else {
+		total = c.capture(nil)
+	}
 	t0 := c.now()
 	rep := total.Report(c.meta.Gamma)
 	if c.cfg.Stop != nil && !c.stopHit.Load() && c.cfg.Stop(Progress{
@@ -996,17 +958,11 @@ func (c *Collector) saveHolding() (stat.Report, error) {
 	}
 	var err error
 	if c.dir != nil {
-		meta := c.stampedMeta()
-		if e := c.dir.SaveResults(rep, meta); e != nil {
+		if e := c.dir.SaveResults(rep, img.Meta); e != nil {
 			err = e
 		}
-		if e := c.dir.SaveCheckpoint(total.Snapshot(), meta); e != nil && err == nil {
+		if e := c.dir.SaveImage(img); e != nil && err == nil {
 			err = e
-		}
-		if c.cfg.PersistRecovery {
-			if e := c.SaveRecovery(); e != nil && err == nil {
-				err = e
-			}
 		}
 	}
 	now := c.now()
@@ -1050,12 +1006,12 @@ func (c *Collector) Finalize() (stat.Report, error) {
 
 // Report computes the current derived statistics without saving.
 func (c *Collector) Report() stat.Report {
-	return c.fold().Report(c.meta.Gamma)
+	return c.capture(nil).Report(c.meta.Gamma)
 }
 
 // Progress returns the current progress snapshot without saving.
 func (c *Collector) Progress() Progress {
-	rep := c.fold().Report(c.meta.Gamma)
+	rep := c.capture(nil).Report(c.meta.Gamma)
 	return Progress{
 		N:         rep.N,
 		MaxAbsErr: rep.MaxAbsErr,

@@ -102,8 +102,8 @@ func TestLifecycleAndMetrics(t *testing.T) {
 	if snap.N != 3 {
 		t.Fatalf("checkpoint N = %d, want 3", snap.N)
 	}
-	if _, _, err := dir.LoadBaseCheckpoint(); err != nil {
-		t.Fatalf("base checkpoint missing: %v", err)
+	if img, err := dir.LoadImage(); err != nil || img.Base.N != 0 || len(img.Shards) != 2 {
+		t.Fatalf("run image: base N = %d, %d shards, err %v; want an empty base and 2 shards", img.Base.N, len(img.Shards), err)
 	}
 	if snaps, _, err := dir.LoadWorkerSnapshots(); err != nil || len(snaps) != 2 {
 		t.Fatalf("worker snapshots: %d, %v", len(snaps), err)

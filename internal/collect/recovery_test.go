@@ -50,8 +50,8 @@ func bitIdentical(t *testing.T, got, want stat.Report) {
 }
 
 // TestRecoveryRoundTripBitIdentical is the collect-layer contract the
-// service's crash recovery rests on: exporting the recovery image
-// mid-run, restoring it into a fresh collector, and replaying only the
+// service's crash recovery rests on: capturing the run image mid-run,
+// restoring it into a fresh collector, and replaying only the
 // unmerged lease remainders yields a final report bit-identical to the
 // uninterrupted run's. The folded checkpoint could never provide this
 // (float addition is not associative); the per-shard image must.
@@ -113,11 +113,11 @@ func TestRecoveryRoundTripBitIdentical(t *testing.T) {
 	}
 	push(t, crashed, 1, 1, 1, 1, 1, 0, 0, 2)
 	push(t, crashed, 2, 1, 1, 2, 2, 0, 0, 2)
-	img := crashed.ExportRecovery()
+	img := crashed.Image()
 
-	// Two exports of the same state must be byte-identical (the image is
+	// Two captures of the same state must be identical (the image is
 	// written periodically; determinism keeps rewrites comparable).
-	img2 := crashed.ExportRecovery()
+	img2 := crashed.Image()
 	if len(img.Shards) != len(img2.Shards) {
 		t.Fatalf("unstable export: %d vs %d shards", len(img.Shards), len(img2.Shards))
 	}
@@ -164,7 +164,7 @@ func TestRecoveryRoundTripBitIdentical(t *testing.T) {
 	bitIdentical(t, got, want)
 }
 
-// TestRestoreRejectsMismatches: a recovery image from a different
+// TestRestoreRejectsMismatches: a run image from a different
 // experiment shape or subsequence must be refused outright.
 func TestRestoreRejectsMismatches(t *testing.T) {
 	c, err := collect.New(openDir(t), testMeta(), collect.Config{})
@@ -175,7 +175,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err := c.Push(1, snapOf(t, 1, 2, []float64{1, 2})); err != nil {
 		t.Fatal(err)
 	}
-	img := c.ExportRecovery()
+	img := c.Image()
 
 	wrongDims := testMeta()
 	wrongDims.Ncol = 3

@@ -652,7 +652,7 @@ func RunLease(params rng.Params, seqNum uint64, l collect.Lease, window int64, r
 	return nil
 }
 
-// Manaver recomputes the averaged results from the run-base checkpoint
+// Manaver recomputes the averaged results from the run image's base
 // plus the per-worker snapshot files — the paper's manaver command. It
 // delegates to the collector engine, which owns the merge.
 func Manaver(workdir string) (stat.Report, error) {

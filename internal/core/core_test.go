@@ -381,13 +381,18 @@ func TestManaverReconstructsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the story: delete the collector checkpoint (as if the job
-	// died before the final save), then recover via manaver.
+	// Corrupt the story: rewind the run image to the one the run start
+	// wrote (as if the job died before its first save), then recover
+	// via manaver.
 	d, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RemoveCheckpoint(); err != nil {
+	img, err := d.LoadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveCheckpoint(img.Base, img.Meta); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Manaver(dir)

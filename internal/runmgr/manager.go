@@ -286,10 +286,10 @@ type run struct {
 	rep       stat.Report
 	hasReport bool
 
-	// restoreImg is the recovery image pre-loaded at startup for a run
+	// restoreImg is the run image pre-loaded at startup for a run
 	// that survived a restart; admission consumes it (Config.Restore)
 	// and clears it.
-	restoreImg *store.RecoveryState
+	restoreImg *store.Image
 }
 
 // fleetWorker is one attached fleet member.
@@ -743,12 +743,11 @@ func (m *Manager) admitRunLocked(r *run) error {
 		Hook:       collect.JournalHook(j),
 		Now:        m.cfg.Now,
 		// Restore rebuilds the collector's shards and lease ledgers from
-		// the recovery image when the run survived a service restart —
-		// the fold topology is preserved, so the final report stays
-		// bit-identical to an uninterrupted run. PersistRecovery keeps
-		// that image fresh at every periodic save.
-		Restore:         restore,
-		PersistRecovery: true,
+		// the run image when the run survived a service restart — the
+		// fold topology is preserved, so the final report stays
+		// bit-identical to an uninterrupted run. Every save rewrites
+		// that image.
+		Restore: restore,
 		// Registry stays nil on purpose: the collector registers
 		// fixed-name series, and two runs must not share counters. The
 		// manager's labeled parmonc_run_* gauges are the shared view.
@@ -1370,8 +1369,8 @@ func (m *Manager) Close() error {
 }
 
 // Shutdown drains the service gracefully: fleet pulls see Stop,
-// in-flight pushes land, every active run saves a final checkpoint and
-// recovery image, manifests and the WAL record a clean shutdown, and
+// in-flight pushes land, every active run saves a final run image,
+// manifests and the WAL record a clean shutdown, and
 // all resources close. Runs are left running/queued in their durable
 // state — the next incarnation resumes them with nothing to replay
 // (the regression the clean-shutdown test pins down).
@@ -1406,9 +1405,8 @@ func (m *Manager) Shutdown() error {
 		if r.state.Terminal() || r.eng == nil {
 			continue
 		}
-		// Save folds the shards into a fresh checkpoint and, with
-		// PersistRecovery, rewrites the recovery image — the state the
-		// next incarnation restores bit-identically.
+		// Save captures the run image — the state the next incarnation
+		// restores bit-identically.
 		if err := r.eng.Save(); err != nil {
 			r.revent("suspend_save_error", map[string]any{"run": r.id, "err": err.Error()})
 		}

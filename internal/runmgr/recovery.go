@@ -21,7 +21,7 @@ import (
 // flight when the process died). Terminal runs are listed read-only
 // from their manifests; every other run re-enters the admission queue
 // in original submission order, and on admission re-opens its
-// collector from the per-shard recovery image so its report stays
+// collector from the shards of its run image so its report stays
 // bit-identical to an uninterrupted run. The whole recovery is fenced
 // by the service epoch: grants minted by a previous incarnation carry
 // its epoch in their lease IDs, so a zombie push can never double-merge.
@@ -52,7 +52,7 @@ type RecoveryInfo struct {
 
 	Terminal int `json:"terminal"` // runs listed read-only from terminal manifests
 	Requeued int `json:"requeued"` // non-terminal runs re-entered into the queue
-	Resumed  int `json:"resumed"`  // of those, runs with a recovery image to restore
+	Resumed  int `json:"resumed"`  // of those, runs whose image holds merged samples to restore
 	Replayed int `json:"replayed"` // runs whose manifest lagged the WAL (reconciled)
 
 	CorruptManifests int   `json:"corrupt_manifests"` // manifests quarantined (discard policy)
@@ -284,11 +284,11 @@ func (m *Manager) persistRunErrLocked(r *run, kind string) error {
 
 // remainingLeases derives the work a restored run still owes: the
 // original lease partition minus each processor's merged prefix from
-// the recovery image. Incomplete remainders go to the front of the
+// the run image. Incomplete remainders go to the front of the
 // queue (the reissue convention), untouched leases follow in partition
 // order — the same windows, in the same per-processor positions, as an
 // uninterrupted run would compute.
-func remainingLeases(partition []collect.Lease, rs *store.RecoveryState) (pending []collect.Lease, completed int64) {
+func remainingLeases(partition []collect.Lease, rs *store.Image) (pending []collect.Lease, completed int64) {
 	merged := map[uint64]uint64{} // processor → absolute end of its merged prefix
 	for _, sh := range rs.Shards {
 		for _, le := range sh.Leases {
@@ -326,7 +326,7 @@ func (m *Manager) recover() error {
 	// service epoch also clears the highest epoch any manifest has seen
 	// — even if the WAL itself was lost, epochs never move backwards.
 	var manifests []runManifest
-	images := map[string]*store.RecoveryState{}
+	images := map[string]*store.Image{}
 	var maxEpoch uint64
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -427,28 +427,28 @@ func (m *Manager) recover() error {
 			}
 			continue
 		}
-		// Pre-load the recovery image so a corrupt one surfaces now,
+		// Pre-load the run image so a corrupt one surfaces now,
 		// under the policy, rather than at whatever later moment the
 		// admission queue reaches this run.
 		d, derr := store.Open(filepath.Join(root, r.id))
 		if derr != nil {
 			return derr
 		}
-		rs, lerr := d.LoadRecovery()
+		img, lerr := d.LoadImage()
 		switch {
-		case lerr == nil:
-			images[r.id] = &rs
+		case lerr == nil && img.Fold.N > img.Base.N:
+			images[r.id] = &img
 			info.Resumed++
-			for _, sh := range rs.Shards {
-				info.SamplesRestored += sh.Snap.N
-			}
-		case os.IsNotExist(lerr):
-			// Never saved (queued, or crashed before the first save):
-			// the run recomputes from its start. Correct either way.
+			info.SamplesRestored += img.Fold.N - img.Base.N
+		case lerr == nil, os.IsNotExist(lerr), errors.Is(lerr, store.ErrOldCheckpoint):
+			// Nothing merged yet (queued, or crashed before the first
+			// save merged anything), or a checkpoint from before the
+			// image format: the run recomputes from its start, which is
+			// bit-identical too.
 		case errors.Is(lerr, store.ErrCorrupt):
-			m.countCorrupt(d.RecoveryPath(), lerr)
+			m.countCorrupt(d.CheckpointPath(), lerr)
 			if m.cfg.Recover != RecoverDiscard {
-				return fmt.Errorf("runmgr: recovery image of %s (use -recover=discard to quarantine and recompute): %w", r.id, lerr)
+				return fmt.Errorf("runmgr: run image of %s (use -recover=discard to quarantine and recompute): %w", r.id, lerr)
 			}
 		default:
 			return lerr

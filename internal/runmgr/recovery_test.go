@@ -153,22 +153,21 @@ func waitSamples(t *testing.T, m *Manager, id string, n int64, timeout time.Dura
 	}
 }
 
-// waitRecoveryImage polls until the run's periodic save has written a
-// recovery image to disk.
+// waitRecoveryImage polls until a periodic save has written a run image
+// holding merged samples (the image written at admission holds none).
 func waitRecoveryImage(t *testing.T, root, id string, timeout time.Duration) {
 	t.Helper()
 	d, err := store.Open(filepath.Join(root, id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := d.RecoveryPath()
 	deadline := time.Now().Add(timeout)
 	for {
-		if _, err := os.Stat(path); err == nil {
+		if img, err := d.LoadImage(); err == nil && img.Fold.N > img.Base.N {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no recovery image at %s after %v", path, timeout)
+			t.Fatalf("no run image with merged samples at %s after %v", d.CheckpointPath(), timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -281,6 +280,59 @@ func TestKillRecoveryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReports(t, "kill-restart", got, want)
+}
+
+// TestOldCheckpointRecomputesFromScratch: an unfinished run whose
+// checkpoint.dat predates the run image (a data root written by an
+// older version) is not restored and not treated as corrupt: it
+// requeues, recomputes from its start, and still finishes bit-identical
+// to an uninterrupted run.
+func TestOldCheckpointRecomputesFromScratch(t *testing.T) {
+	sub := Submission{
+		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 2_000_000,
+		SeqNum: 54, PassEvery: 100, LeaseSize: 100_000,
+	}
+	want := runIsolated(t, sub)
+	old, err := os.ReadFile(filepath.Join("..", "store", "testdata", "checkpoint-frame-v1.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	cfg := Config{DataRoot: root, AverPeriod: 20 * time.Millisecond}
+	m1 := newManager(t, cfg)
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	g := m1.StartLocalWorkers(ctx1, 2, FleetWorkerConfig{})
+	st, err := m1.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRecoveryImage(t, root, st.ID, 30*time.Second)
+	m1.kill()
+	cancel1()
+	g.Wait() // no push, and so no push-triggered save, is still in flight
+	ckpt := filepath.Join(root, st.ID, store.DataDir, store.CheckpointFile)
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newManager(t, cfg)
+	if info := m2.Recovery(); info.Requeued != 1 || info.Resumed != 0 || info.SamplesRestored != 0 {
+		t.Errorf("requeued/resumed/samples = %d/%d/%d, want 1/0/0", info.Requeued, info.Resumed, info.SamplesRestored)
+	}
+	if _, err := os.Stat(ckpt + store.QuarantineSuffix); !os.IsNotExist(err) {
+		t.Errorf("old-format checkpoint was quarantined (stat err %v)", err)
+	}
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	m2.StartLocalWorkers(ctx2, 2, FleetWorkerConfig{})
+	waitState(t, m2, st.ID, StateDone, 120*time.Second)
+	got, err := m2.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareReports(t, "old-checkpoint-restart", got, want)
 }
 
 // TestTerminalRunsListedAfterRestart: done runs come back read-only

@@ -3,6 +3,10 @@ package runmgr
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +14,7 @@ import (
 	"parmonc/internal/cluster"
 	"parmonc/internal/core"
 	"parmonc/internal/rng"
+	"parmonc/internal/store"
 	"parmonc/internal/workload"
 	_ "parmonc/internal/workload/builtin"
 )
@@ -594,5 +599,42 @@ func TestNilRealizationRejected(t *testing.T) {
 				t.Fatalf("err = %v, want mention of %q", err, want)
 			}
 		})
+	}
+}
+
+// TestServiceRunDataDirContract: a service run's parmonc_data holds
+// exactly the paper's three results files, the run image
+// (checkpoint.dat), the experiment log and the run's event journal —
+// no other state file.
+func TestServiceRunDataDirContract(t *testing.T) {
+	cfg := testConfig(t)
+	m := newManager(t, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.StartLocalWorkers(ctx, 2, FleetWorkerConfig{})
+	st, err := m.Submit(piSubmission(5000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateDone, 30*time.Second)
+
+	data := filepath.Join(cfg.DataRoot, st.ID, store.DataDir)
+	var got []string
+	err = filepath.WalkDir(data, func(p string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(data, p)
+		got = append(got, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	want := []string{"checkpoint.dat", "events.jsonl", "parmonc_exp.dat",
+		"results/func.dat", "results/func_ci.dat", "results/func_log.dat"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("service run's parmonc_data holds %q, want %q", got, want)
 	}
 }

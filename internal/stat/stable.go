@@ -163,6 +163,36 @@ func (a *StableAccumulator) Snapshot() Snapshot {
 	return s
 }
 
+// Centered is the part of a StableAccumulator's state that its raw-sum
+// Snapshot only approximates: the running means and centered second
+// moments. Kept beside the Snapshot (which carries dimensions, volume
+// and time), it rebuilds the accumulator bit for bit (FromCentered).
+type Centered struct {
+	Mean, M2 []float64
+}
+
+// Centered returns a copy of the exact Welford/Chan state.
+func (a *StableAccumulator) Centered() Centered {
+	return Centered{Mean: append([]float64(nil), a.mean...), M2: append([]float64(nil), a.m2...)}
+}
+
+// FromCentered reconstructs a stable accumulator from its Snapshot and
+// its Centered state, reproducing the original's Report exactly.
+func FromCentered(s Snapshot, c Centered) (*StableAccumulator, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	a := NewStable(s.Nrow, s.Ncol)
+	if len(c.Mean) != len(a.mean) || len(c.M2) != len(a.m2) {
+		return nil, fmt.Errorf("stat: centered state has %d/%d entries, want %d", len(c.Mean), len(c.M2), len(a.mean))
+	}
+	copy(a.mean, c.Mean)
+	copy(a.m2, c.M2)
+	a.n = s.N
+	a.simTime = time.Duration(s.SimTimeNS)
+	return a, nil
+}
+
 // Report computes the derived statistics, matching Accumulator.Report's
 // conventions (population variance, γ·σ̄·L^{-1/2} errors).
 func (a *StableAccumulator) Report(gamma float64) Report {

@@ -119,7 +119,7 @@ func (a *Accumulator) Reset() {
 // reads it before returning, never writes to it, and keeps no reference
 // to it afterwards. Accumulator.Snapshot yields storage the caller owns
 // outright, for data that must outlive the accumulator's next change
-// (checkpoints, recovery images, manaver); Accumulator.View lends the
+// (run images, manaver); Accumulator.View lends the
 // live storage itself and is what the exchange hot path pushes.
 type Snapshot struct {
 	Nrow, Ncol int

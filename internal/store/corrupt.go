@@ -4,11 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"strings"
 )
 
 // ErrCorrupt is the sentinel every corruption failure in this package
@@ -53,18 +54,21 @@ func quarantine(path, reason string) *CorruptError {
 	return e
 }
 
-// Binary frame wrapped around every gob payload this package persists
-// (checkpoints, worker snapshots, recovery state): a magic string, the
-// payload length, and a CRC-32 (IEEE) of the payload. Gob alone detects
-// most garbage but happily decodes a truncated stream that happens to
-// end on a value boundary; the explicit length + checksum turns every
-// torn or bit-flipped file into a detected corruption instead of a
-// silently short checkpoint.
-const frameMagic = "parmonc-frame v1\n"
+// Binary frame wrapped around every gob payload this package persists:
+// a magic string naming the payload's format, the payload length, and a
+// CRC-32 (IEEE) of the payload. Gob alone detects most garbage but
+// happily decodes a truncated stream that happens to end on a value
+// boundary; the explicit length + checksum turns every torn or
+// bit-flipped file into a detected corruption instead of a silently
+// short checkpoint.
+const (
+	frameMagic = "parmonc-frame v1\n" // worker snapshot files (and checkpoint.dat before the image)
+	imageMagic = "parmonc-image v1\n" // the run image, checkpoint.dat
+)
 
 // writeFramed emits the frame around payload.
-func writeFramed(w *bufio.Writer, payload []byte) error {
-	if _, err := w.WriteString(frameMagic); err != nil {
+func writeFramed(w *bufio.Writer, magic string, payload []byte) error {
+	if _, err := w.WriteString(magic); err != nil {
 		return err
 	}
 	var hdr [12]byte
@@ -77,42 +81,53 @@ func writeFramed(w *bufio.Writer, payload []byte) error {
 	return err
 }
 
-// readFramed loads path and returns the verified payload. A missing
-// file surfaces as the original os error (os.IsNotExist works); any
-// framing violation quarantines the file and returns a *CorruptError.
-func readFramed(path string) ([]byte, error) {
+// saveFramed gob-encodes v and atomically writes it to path, framed.
+func saveFramed(path, magic string, v any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return err
+	}
+	return atomicWrite(path, func(w *bufio.Writer) error {
+		return writeFramed(w, magic, buf.Bytes())
+	})
+}
+
+// loadFramed reads path, verifies its frame and gob-decodes the payload
+// into v. A missing file surfaces as the original os error (os.IsNotExist
+// works); any framing violation or undecodable payload quarantines the
+// file and returns a *CorruptError. A run image found in the older
+// frame format is intact, only older: it is refused with
+// ErrOldCheckpoint and left in place.
+func loadFramed(path, magic string, v any) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !bytes.HasPrefix(raw, []byte(frameMagic)) {
-		return nil, quarantine(path, "bad magic")
+	if magic == imageMagic && bytes.HasPrefix(raw, []byte(frameMagic)) {
+		return fmt.Errorf("%w %q at %s (written by an older parmonc; this version reads %q run images)",
+			ErrOldCheckpoint, strings.TrimSpace(frameMagic), path, strings.TrimSpace(imageMagic))
 	}
-	rest := raw[len(frameMagic):]
+	if !bytes.HasPrefix(raw, []byte(magic)) {
+		return quarantine(path, "bad magic")
+	}
+	rest := raw[len(magic):]
 	if len(rest) < 12 {
-		return nil, quarantine(path, "truncated header")
+		return quarantine(path, "truncated header")
 	}
 	n := binary.BigEndian.Uint64(rest[:8])
 	sum := binary.BigEndian.Uint32(rest[8:12])
 	payload := rest[12:]
 	if uint64(len(payload)) < n {
-		return nil, quarantine(path, fmt.Sprintf("truncated payload: %d of %d bytes", len(payload), n))
+		return quarantine(path, fmt.Sprintf("truncated payload: %d of %d bytes", len(payload), n))
 	}
 	if uint64(len(payload)) > n {
-		return nil, quarantine(path, fmt.Sprintf("trailing bytes: %d past the declared %d", uint64(len(payload))-n, n))
+		return quarantine(path, fmt.Sprintf("trailing bytes: %d past the declared %d", uint64(len(payload))-n, n))
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, quarantine(path, "checksum mismatch")
+		return quarantine(path, "checksum mismatch")
 	}
-	return payload, nil
-}
-
-// framedDecoder returns a reader over the verified payload of path,
-// suitable for gob decoding.
-func framedDecoder(path string) (io.Reader, error) {
-	payload, err := readFramed(path)
-	if err != nil {
-		return nil, err
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+		return quarantine(path, fmt.Sprintf("undecodable payload: %v", err))
 	}
-	return bytes.NewReader(payload), nil
+	return nil
 }

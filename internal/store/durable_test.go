@@ -1,27 +1,64 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"parmonc/internal/stat"
 )
 
-// --- framed checkpoint hardening -----------------------------------------
+// --- run image hardening ---------------------------------------------------
 
-// goodCheckpointBytes builds one valid checkpoint file and returns its
-// raw bytes.
+// testImage builds a valid two-shard image: Fold is Base then the
+// shards, merged in order.
+func testImage(t *testing.T) Image {
+	t.Helper()
+	meta := testMeta()
+	shard := func(vals ...float64) stat.Snapshot {
+		a := stat.New(meta.Nrow, meta.Ncol)
+		row := make([]float64, meta.Nrow*meta.Ncol)
+		for _, v := range vals {
+			for j := range row {
+				row[j] = v + float64(j)
+			}
+			if err := a.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a.Snapshot()
+	}
+	img := Image{Meta: meta, Base: shard(1), Shards: []ShardRecord{
+		{Worker: 0, Epoch: 1, LastSeq: 2, Snap: shard(2, 3),
+			Leases: []LeaseLedgerEntry{{ID: 1, Proc: 1, Count: 4, Done: 2}}},
+		{Worker: 3, Epoch: 1, LastSeq: 1, Snap: shard(4)},
+	}}
+	fold, err := stat.Fold(meta.Nrow, meta.Ncol, img.Base, []stat.Snapshot{img.Shards[0].Snap, img.Shards[1].Snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Fold = fold.Snapshot()
+	return img
+}
+
+// goodCheckpointBytes builds one valid image file and returns its raw
+// bytes.
 func goodCheckpointBytes(t *testing.T) []byte {
 	t.Helper()
 	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SaveCheckpoint(testAccumulator(t).Snapshot(), testMeta()); err != nil {
+	if err := d.SaveImage(testImage(t)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(d.CheckpointPath())
@@ -29,6 +66,24 @@ func goodCheckpointBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// framedImage frames img as SaveImage would, skipping its validation,
+// so a test can build an image that lies about its invariants.
+func framedImage(t *testing.T, img Image) []byte {
+	t.Helper()
+	var payload, out bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(&out)
+	if err := writeFramed(w, imageMagic, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // expectQuarantined asserts err is a *CorruptError matching ErrCorrupt
@@ -56,6 +111,10 @@ func expectQuarantined(t *testing.T, err error, path string) {
 	}
 }
 
+// TestLoadCheckpointCorruptionTable: every damaged image — torn at any
+// byte, bit-flipped, padded, garbage, or framed correctly but breaking
+// the image invariants — is reported as corrupt and quarantined, by
+// LoadImage and by LoadCheckpoint alike.
 func TestLoadCheckpointCorruptionTable(t *testing.T) {
 	good := goodCheckpointBytes(t)
 	flip := func(raw []byte, i int) []byte {
@@ -63,49 +122,121 @@ func TestLoadCheckpointCorruptionTable(t *testing.T) {
 		out[i] ^= 0x40
 		return out
 	}
-	headerLen := len(frameMagic) + 8 + 4
+	lying := func(mutate func(*Image)) []byte {
+		img := testImage(t)
+		mutate(&img)
+		return framedImage(t, img)
+	}
+	headerLen := len(imageMagic) + 8 + 4
 	cases := []struct {
 		name   string
 		damage []byte
 	}{
 		{"empty file", nil},
 		{"truncated mid-magic", good[:5]},
-		{"magic only", good[:len(frameMagic)]},
-		{"truncated mid-header", good[:len(frameMagic)+6]},
+		{"magic only", good[:len(imageMagic)]},
+		{"truncated mid-header", good[:len(imageMagic)+6]},
 		{"header only", good[:headerLen]},
 		{"truncated mid-payload", good[:len(good)-3]},
 		{"single torn byte of payload", good[:headerLen+1]},
 		{"bit flip in payload", flip(good, headerLen+2)},
-		{"bit flip in stored checksum", flip(good, len(frameMagic)+8)},
-		{"bit flip in length", flip(good, len(frameMagic)+7)},
+		{"bit flip in stored checksum", flip(good, len(imageMagic)+8)},
+		{"bit flip in length", flip(good, len(imageMagic)+7)},
 		{"trailing garbage", append(append([]byte(nil), good...), "junk"...)},
 		{"not a frame at all", []byte("definitely not a checkpoint")},
+		{"torn", []byte("torn")},
+		{"fold disagrees with base and shards", lying(func(img *Image) { img.Shards = img.Shards[:1] })},
+		{"shard of other dimensions", lying(func(img *Image) { img.Shards[1].Snap = stat.New(1, 1).Snapshot() })},
+		{"invalid metadata", lying(func(img *Image) { img.Meta.Gamma = 0 })},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	// Both loaders see the damage as corruption and quarantine the file.
+	expectCorrupt := func(t *testing.T, damage []byte) {
+		t.Helper()
+		for _, load := range []func(d *Dir) error{
+			func(d *Dir) error { _, err := d.LoadImage(); return err },
+			func(d *Dir) error { _, _, err := d.LoadCheckpoint(); return err },
+		} {
 			d, err := Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(d.CheckpointPath(), tc.damage, 0o644); err != nil {
+			if err := os.WriteFile(d.CheckpointPath(), damage, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, lerr := d.LoadCheckpoint()
-			expectQuarantined(t, lerr, d.CheckpointPath())
-		})
+			expectQuarantined(t, load(d), d.CheckpointPath())
+		}
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { expectCorrupt(t, tc.damage) })
+	}
+	t.Run("truncated at every byte offset", func(t *testing.T) {
+		for off := 0; off < len(good); off++ {
+			expectCorrupt(t, good[:off])
+		}
+	})
 }
 
-func TestLoadRecoveryCorrupt(t *testing.T) {
+// TestLoadCheckpointOldFormatRefused: a checkpoint.dat written before
+// the image format (a framed bare total, testdata/checkpoint-frame-v1.dat)
+// is refused with an error naming that format, and left where it is — a
+// user's old results are not corrupt.
+func TestLoadCheckpointOldFormatRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint-frame-v1.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(d.RecoveryPath(), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(d.CheckpointPath(), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, lerr := d.LoadRecovery()
-	expectQuarantined(t, lerr, d.RecoveryPath())
+	for i := 0; i < 2; i++ { // refusing twice: nothing moved in between
+		_, _, lerr := d.LoadCheckpoint()
+		if !errors.Is(lerr, ErrOldCheckpoint) || errors.Is(lerr, ErrCorrupt) {
+			t.Fatalf("old-format checkpoint: got %v, want ErrOldCheckpoint and not ErrCorrupt", lerr)
+		}
+		if !strings.Contains(lerr.Error(), "parmonc-frame v1") {
+			t.Errorf("error does not name the old format: %v", lerr)
+		}
+	}
+	if got, err := os.ReadFile(d.CheckpointPath()); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("old checkpoint was moved or changed (err %v)", err)
+	}
+	if _, err := os.Stat(d.CheckpointPath() + QuarantineSuffix); !os.IsNotExist(err) {
+		t.Fatalf("old checkpoint was quarantined (stat err %v)", err)
+	}
+}
+
+// TestImageRoundTrip: every field of an image survives save and load,
+// and the image's report is the report of its fold.
+func TestImageRoundTrip(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := testImage(t)
+	if err := d.SaveImage(img); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.LoadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Shards, img.Shards) || !reflect.DeepEqual(got.Base, img.Base) ||
+		!reflect.DeepEqual(got.Fold, img.Fold) || got.Meta.SeqNum != img.Meta.SeqNum || got.Centered != nil {
+		t.Fatalf("image round trip lost data:\n got %+v\nwant %+v", got, img)
+	}
+	// A save that breaks the invariants is refused before it writes.
+	bad := img
+	bad.Fold.N++
+	if err := d.SaveImage(bad); err == nil {
+		t.Fatal("SaveImage accepted a fold that disagrees with base and shards")
+	}
+	if again, err := d.LoadImage(); err != nil || again.Fold.N != img.Fold.N {
+		t.Fatalf("refused save changed the file: N = %d, err %v", again.Fold.N, err)
+	}
 }
 
 // --- manifest hardening ---------------------------------------------------

@@ -11,12 +11,17 @@
 // and parmonc_data/parmonc_exp.dat records every stochastic experiment
 // started in this directory.
 //
-// Additionally the package stores the machine-precision state needed for
-// the two PARMONC workflows the text files cannot support:
+// Additionally the package stores the state the text files cannot
+// carry, and the run's audit trail:
 //
-//	parmonc_data/checkpoint.dat       — collector checkpoint (resume, res=1),
+//	parmonc_data/checkpoint.dat       — the run image: base, per-worker
+//	                                    shards and their fold, rewritten
+//	                                    at run start and every save,
 //	parmonc_data/workers/worker-*.dat — per-worker subtotal snapshots
-//	                                    (merged by the manaver command).
+//	                                    (merged by manaver),
+//	parmonc_data/events.jsonl         — the run-event journal.
+//
+// A run service adds each run's manifest.json and its own service.wal.
 //
 // All writes are atomic (write to a temp file, then rename), so a job
 // killed mid-save never leaves a truncated results file — the property
@@ -25,12 +30,9 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -266,82 +268,10 @@ func (d *Dir) LoadMeans() (nrow, ncol int, vals []float64, err error) {
 	return nrow, ncol, vals, nil
 }
 
-// checkpoint is the gob payload of checkpoint.dat and worker files.
-type checkpoint struct {
+// workerFile is the gob payload of a worker snapshot file.
+type workerFile struct {
 	Meta RunMeta
 	Snap stat.Snapshot
-}
-
-// writeCheckpointFile frames and atomically writes one checkpoint-shaped
-// gob payload. All checkpoint-family files (checkpoint.dat, base.dat,
-// worker-*.dat) share the frame, so torn or garbage files are detected
-// by length + checksum rather than whatever gob happens to make of them.
-func writeCheckpointFile(path string, cp checkpoint) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		return err
-	}
-	return atomicWrite(path, func(w *bufio.Writer) error {
-		return writeFramed(w, buf.Bytes())
-	})
-}
-
-// readCheckpointFile verifies the frame at path and decodes the
-// payload. Missing file: original os error. Corruption (bad frame or
-// undecodable payload): the file is quarantined as <name>.corrupt and a
-// *CorruptError returned.
-func readCheckpointFile(path string) (checkpoint, error) {
-	var cp checkpoint
-	r, err := framedDecoder(path)
-	if err != nil {
-		return cp, err
-	}
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return cp, quarantine(path, fmt.Sprintf("undecodable payload: %v", err))
-	}
-	return cp, nil
-}
-
-// SaveCheckpoint atomically writes the collector checkpoint: the merged
-// moments so far plus the run metadata. A subsequent run with the
-// resumption flag set loads and merges it (formulas (5)).
-func (d *Dir) SaveCheckpoint(snap stat.Snapshot, meta RunMeta) error {
-	if err := meta.Validate(); err != nil {
-		return err
-	}
-	if err := snap.Validate(); err != nil {
-		return err
-	}
-	return writeCheckpointFile(d.CheckpointPath(), checkpoint{Meta: meta, Snap: snap})
-}
-
-// LoadCheckpoint reads the collector checkpoint. os.IsNotExist(err)
-// distinguishes "no previous simulation" from corruption; a torn,
-// truncated or garbage checkpoint is quarantined as
-// checkpoint.dat.corrupt and reported as a *CorruptError
-// (errors.Is(err, ErrCorrupt)).
-func (d *Dir) LoadCheckpoint() (stat.Snapshot, RunMeta, error) {
-	cp, err := readCheckpointFile(d.CheckpointPath())
-	if err != nil {
-		return stat.Snapshot{}, RunMeta{}, err
-	}
-	if err := cp.Snap.Validate(); err != nil {
-		return stat.Snapshot{}, RunMeta{}, err
-	}
-	if err := cp.Meta.Validate(); err != nil {
-		return stat.Snapshot{}, RunMeta{}, err
-	}
-	return cp.Snap, cp.Meta, nil
-}
-
-// RemoveCheckpoint deletes the checkpoint (used when a run starts with
-// res = 0, i.e. "brand new files with results").
-func (d *Dir) RemoveCheckpoint() error {
-	err := os.Remove(d.CheckpointPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }
 
 // SaveWorkerSnapshot writes worker w's subtotal moments. The file is the
@@ -358,37 +288,39 @@ func (d *Dir) SaveWorkerSnapshot(worker int, snap stat.Snapshot, meta RunMeta) e
 		return err
 	}
 	path := filepath.Join(d.workersPath(), fmt.Sprintf("worker-%06d.dat", worker))
-	return writeCheckpointFile(path, checkpoint{Meta: meta, Snap: snap})
+	return saveFramed(path, frameMagic, workerFile{Meta: meta, Snap: snap})
 }
 
-// LoadWorkerSnapshots reads every worker snapshot in the directory,
-// sorted by worker id.
-func (d *Dir) LoadWorkerSnapshots() ([]stat.Snapshot, []RunMeta, error) {
-	entries, err := os.ReadDir(d.workersPath())
+// LoadWorkerSnapshots reads every worker snapshot in the directory, as
+// shard records (worker id and moments) sorted by worker id, with the
+// run metadata each file was stamped with. A torn or garbage file is
+// quarantined and reported as a *CorruptError.
+func (d *Dir) LoadWorkerSnapshots() ([]ShardRecord, []RunMeta, error) {
+	entries, err := os.ReadDir(d.workersPath()) // sorted by name, so by zero-padded id
 	if err != nil {
 		return nil, nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), "worker-") && strings.HasSuffix(e.Name(), ".dat") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var snaps []stat.Snapshot
+	var recs []ShardRecord
 	var metas []RunMeta
-	for _, name := range names {
-		cp, err := readCheckpointFile(filepath.Join(d.workersPath(), name))
-		if err != nil {
+	for _, e := range entries {
+		var w int
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".dat") {
+			continue
+		}
+		if _, err := fmt.Sscanf(e.Name(), "worker-%d.dat", &w); err != nil {
+			continue
+		}
+		var wf workerFile
+		if err := loadFramed(filepath.Join(d.workersPath(), e.Name()), frameMagic, &wf); err != nil {
 			return nil, nil, err
 		}
-		if err := cp.Snap.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("store: invalid worker snapshot %s: %w", name, err)
+		if err := wf.Snap.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("store: invalid worker snapshot %s: %w", e.Name(), err)
 		}
-		snaps = append(snaps, cp.Snap)
-		metas = append(metas, cp.Meta)
+		recs = append(recs, ShardRecord{Worker: w, Snap: wf.Snap})
+		metas = append(metas, wf.Meta)
 	}
-	return snaps, metas, nil
+	return recs, metas, nil
 }
 
 // RemoveWorkerSnapshots deletes all worker snapshot files (done when a
@@ -456,38 +388,4 @@ func (d *Dir) Experiments() ([]string, error) {
 		return nil, nil
 	}
 	return lines, nil
-}
-
-// BaseCheckpointFile holds the moments a run started from (the resume
-// base). It is written at run start and consumed by manaver, which needs
-// to combine it with the per-worker subtotals of the interrupted run.
-const BaseCheckpointFile = "base.dat"
-
-// BaseCheckpointPath returns the path of the run-base checkpoint.
-func (d *Dir) BaseCheckpointPath() string {
-	return filepath.Join(d.dataPath(), BaseCheckpointFile)
-}
-
-// SaveBaseCheckpoint atomically writes the run-base checkpoint.
-func (d *Dir) SaveBaseCheckpoint(snap stat.Snapshot, meta RunMeta) error {
-	if err := meta.Validate(); err != nil {
-		return err
-	}
-	if err := snap.Validate(); err != nil {
-		return err
-	}
-	return writeCheckpointFile(d.BaseCheckpointPath(), checkpoint{Meta: meta, Snap: snap})
-}
-
-// LoadBaseCheckpoint reads the run-base checkpoint. Corruption
-// quarantines the file and returns a *CorruptError, as LoadCheckpoint.
-func (d *Dir) LoadBaseCheckpoint() (stat.Snapshot, RunMeta, error) {
-	cp, err := readCheckpointFile(d.BaseCheckpointPath())
-	if err != nil {
-		return stat.Snapshot{}, RunMeta{}, err
-	}
-	if err := cp.Snap.Validate(); err != nil {
-		return stat.Snapshot{}, RunMeta{}, err
-	}
-	return cp.Snap, cp.Meta, nil
 }

@@ -205,22 +205,6 @@ func TestLoadCheckpointCorrupt(t *testing.T) {
 	}
 }
 
-func TestRemoveCheckpointIdempotent(t *testing.T) {
-	d, _ := Open(t.TempDir())
-	if err := d.RemoveCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SaveCheckpoint(testAccumulator(t).Snapshot(), testMeta()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.LoadCheckpoint(); !os.IsNotExist(err) {
-		t.Fatal("checkpoint still present")
-	}
-}
-
 func TestWorkerSnapshots(t *testing.T) {
 	d, _ := Open(t.TempDir())
 	meta := testMeta()
@@ -244,8 +228,8 @@ func TestWorkerSnapshots(t *testing.T) {
 	}
 	// Sorted by worker id: snapshot w has Sum[0] = w.
 	for w, s := range snaps {
-		if s.Sum[0] != float64(w) {
-			t.Fatalf("snapshot %d has Sum[0]=%g", w, s.Sum[0])
+		if s.Worker != w || s.Snap.Sum[0] != float64(w) {
+			t.Fatalf("snapshot %d is worker %d with Sum[0]=%g", w, s.Worker, s.Snap.Sum[0])
 		}
 	}
 	if err := d.RemoveWorkerSnapshots(); err != nil {
@@ -425,26 +409,22 @@ func TestLoadMeansErrors(t *testing.T) {
 	}
 }
 
+// TestBaseCheckpointRoundTrip: the run base travels in the image beside
+// the fold, and a folded-total checkpoint (SaveCheckpoint) is its own
+// base.
 func TestBaseCheckpointRoundTrip(t *testing.T) {
 	d, _ := Open(t.TempDir())
 	a := testAccumulator(t)
 	meta := testMeta()
-	if err := d.SaveBaseCheckpoint(a.Snapshot(), meta); err != nil {
+	if err := d.SaveCheckpoint(a.Snapshot(), meta); err != nil {
 		t.Fatal(err)
 	}
-	snap, m, err := d.LoadBaseCheckpoint()
+	img, err := d.LoadImage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SeqNum != meta.SeqNum || snap.N != a.N() {
+	if img.Meta.SeqNum != meta.SeqNum || img.Base.N != a.N() || img.Fold.N != a.N() || len(img.Shards) != 0 {
 		t.Fatal("base checkpoint round trip lost data")
-	}
-}
-
-func TestLoadBaseCheckpointMissing(t *testing.T) {
-	d, _ := Open(t.TempDir())
-	if _, _, err := d.LoadBaseCheckpoint(); !os.IsNotExist(err) {
-		t.Fatalf("want IsNotExist, got %v", err)
 	}
 }
 

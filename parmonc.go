@@ -147,6 +147,11 @@ func RunFactory(ctx context.Context, cfg Config, f Factory) (Result, error) {
 // of an interrupted run — the paper's manaver command. It needs a run
 // with Config.SaveWorkerSnapshots, and it rewrites nothing when the
 // recovered sample volume would be below the one already saved.
+// Otherwise it rewrites the results files and the run image
+// (parmonc_data/checkpoint.dat): the run's base unchanged, the worker
+// files as its shards, the recovered total as its fold. Running it
+// again rewrites every file byte for byte, and a resumed run
+// (Config.Resume) starts from the recovered sample volume.
 func Manaver(workdir string) (Report, error) {
 	return core.Manaver(workdir)
 }
